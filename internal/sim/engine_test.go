@@ -1,139 +1,16 @@
 package sim
 
-// Tests for the pooled 4-ary-heap engine: equivalence against a
-// reference container/heap implementation with the documented
-// (time, seq) lazy-cancel semantics, generation safety of recycled
-// handles, and the zero-allocation guarantee on the steady-state
-// schedule→fire cycle.
+// Tests for the pooled 4-ary-heap engine: generation safety of recycled
+// handles, the key-space guards, and the zero-allocation guarantee on
+// the steady-state schedule→fire cycle. Equivalence against the
+// container/heap oracle lives in oracle_test.go.
 
 import (
-	"container/heap"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
-
-// refEvent / refQueue reimplement the original container/heap engine
-// semantics (lazy cancellation, (time, seq) ordering) as an oracle.
-type refEvent struct {
-	at       Time
-	seq      uint64
-	id       int
-	canceled bool
-}
-
-type refQueue []*refEvent
-
-func (q refQueue) Len() int { return len(q) }
-func (q refQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *refQueue) Push(x any)   { *q = append(*q, x.(*refEvent)) }
-func (q *refQueue) Pop() any     { old := *q; n := len(old); ev := old[n-1]; *q = old[:n-1]; return ev }
-func (q *refQueue) popLive() *refEvent {
-	for q.Len() > 0 {
-		ev := heap.Pop(q).(*refEvent)
-		if !ev.canceled {
-			return ev
-		}
-	}
-	return nil
-}
-
-// TestEquivalenceWithReferenceHeap drives the real engine and the
-// reference heap through identical random schedule/cancel/step
-// interleavings (including same-instant bursts and cancellations of
-// both heap and ring events) and requires identical fire order.
-func TestEquivalenceWithReferenceHeap(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-
-		e := NewEngine()
-		ref := refQueue{}
-		var refSeq uint64
-		refNow := Time(0)
-
-		var gotOrder, wantOrder []int
-		type livePair struct {
-			ev  Event
-			ref *refEvent
-		}
-		var live []livePair
-		nextID := 0
-
-		schedule := func(d Duration) {
-			id := nextID
-			nextID++
-			ev := e.Schedule(d, func() { gotOrder = append(gotOrder, id) })
-			re := &refEvent{at: refNow + d, seq: refSeq, id: id}
-			refSeq++
-			heap.Push(&ref, re)
-			live = append(live, livePair{ev, re})
-		}
-
-		for op := 0; op < 400; op++ {
-			switch rng.Intn(5) {
-			case 0, 1: // schedule with a random delay
-				schedule(Duration(rng.Intn(50)))
-			case 2: // same-instant burst
-				n := 1 + rng.Intn(4)
-				for i := 0; i < n; i++ {
-					schedule(0)
-				}
-			case 3: // cancel a random event (live or stale)
-				if len(live) > 0 {
-					p := live[rng.Intn(len(live))]
-					got := p.ev.Cancel()
-					want := !p.ref.canceled && !fired(wantOrder, p.ref.id)
-					if got != want {
-						t.Fatalf("trial %d: Cancel(id %d) = %v, reference says %v",
-							trial, p.ref.id, got, want)
-					}
-					if got {
-						p.ref.canceled = true
-					}
-				}
-			case 4: // step both
-				stepped := e.Step()
-				re := ref.popLive()
-				if stepped != (re != nil) {
-					t.Fatalf("trial %d: Step=%v but reference has live=%v", trial, stepped, re != nil)
-				}
-				if re != nil {
-					refNow = re.at
-					wantOrder = append(wantOrder, re.id)
-				}
-			}
-		}
-		// Drain both.
-		for e.Step() {
-		}
-		for re := ref.popLive(); re != nil; re = ref.popLive() {
-			wantOrder = append(wantOrder, re.id)
-		}
-		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("trial %d: fired %d events, reference fired %d", trial, len(gotOrder), len(wantOrder))
-		}
-		for i := range gotOrder {
-			if gotOrder[i] != wantOrder[i] {
-				t.Fatalf("trial %d: fire order diverges at %d: got %d want %d",
-					trial, i, gotOrder[i], wantOrder[i])
-			}
-		}
-	}
-}
-
-func fired(order []int, id int) bool {
-	for _, v := range order {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
 
 // TestStaleHandleCannotTouchRecycledSlot checks the generation guard: a
 // handle to a fired or canceled event must stay dead even after its
@@ -250,6 +127,78 @@ func TestCancelRingEvent(t *testing.T) {
 	}
 }
 
+// mustPanic runs f and returns its panic message, failing the test if f
+// returns normally.
+func mustPanic(t *testing.T, f func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("did not panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	f()
+	return ""
+}
+
+// TestSeqExhaustionPanics pins the sequence guard: the last two
+// sequence numbers the key packing can hold still schedule and fire in
+// order, the next Schedule panics instead of wrapping into a key that
+// would sort first, and Reset restores the full range.
+func TestSeqExhaustionPanics(t *testing.T) {
+	e := NewEngine()
+	e.seq = maxSeq - 1
+	var order []int
+	e.Schedule(5, func() { order = append(order, 0) })
+	e.Schedule(5, func() { order = append(order, 1) }) // seq == maxSeq
+	msg := mustPanic(t, func() { e.Schedule(5, func() {}) })
+	if !strings.Contains(msg, "sequence space exhausted") {
+		t.Errorf("panic %q does not name the exhausted sequence space", msg)
+	}
+	e.Run(10)
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Fatalf("events at the top of the seq range fired %v, want [0 1]", order)
+	}
+
+	e.Reset()
+	if e.seq != 0 {
+		t.Fatalf("Reset left seq at %d, want 0", e.seq)
+	}
+	ran := false
+	e.Schedule(1, func() { ran = true })
+	e.Run(2)
+	if !ran {
+		t.Fatal("event after Reset did not fire")
+	}
+}
+
+// TestArenaSlotCapPanics pins the arena guard: the highest slot the key
+// packing can hold is issued and fires, and growing past it panics
+// instead of letting the slot bleed into the sequence bits.
+func TestArenaSlotCapPanics(t *testing.T) {
+	e := NewEngine()
+	// Stand in for maxSlots-1 pending events without scheduling them:
+	// every slot but the last is taken and the free list is empty.
+	e.nodes = make([]node, maxSlots-1, maxSlots)
+	ran := false
+	ev := e.Schedule(5, func() { ran = true })
+	if ev.slot != slotMask {
+		t.Fatalf("last free slot = %d, want %d", ev.slot, slotMask)
+	}
+	msg := mustPanic(t, func() { e.Schedule(5, func() {}) })
+	if !strings.Contains(msg, "events pending at once") {
+		t.Errorf("panic %q does not name the arena cap", msg)
+	}
+	e.Run(10)
+	if !ran {
+		t.Fatal("event in the last slot did not fire")
+	}
+	if ev := e.Schedule(1, func() {}); ev.slot != slotMask {
+		t.Fatalf("recycled slot = %d, want %d", ev.slot, slotMask)
+	}
+}
+
 // TestScheduleFireAllocFree is the allocs/op regression gate for the
 // pooled engine: after warmup, the schedule→fire cycle must not allocate
 // on either the heap path or the same-instant ring path.
@@ -303,8 +252,10 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkChurn1k measures schedule→fire with 1024 events resident, the
-// depth a loaded 36-core simulation actually sees.
+// BenchmarkChurn1k measures schedule→fire with 1024 events resident and
+// every new event landing at the back of the queue, so each push stops
+// at its leaf. 1k is deeper than any measured workload (DESIGN.md §1);
+// BenchmarkChurnRandom* cover the measured depths.
 func BenchmarkChurn1k(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
@@ -318,3 +269,33 @@ func BenchmarkChurn1k(b *testing.B) {
 		e.Step()
 	}
 }
+
+// benchChurnRandom measures schedule→fire with `resident` events queued
+// and pseudo-random delays, so pushes land at random depths and every
+// pop's path down the heap is data-dependent — the regime the device
+// models create.
+func benchChurnRandom(b *testing.B, resident int) {
+	e := NewEngine()
+	fn := func() {}
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]Duration, 4096)
+	for i := range delays {
+		delays[i] = Duration(1 + rng.Intn(1000))
+	}
+	for i := 0; i < resident; i++ {
+		e.Schedule(delays[i&4095], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(delays[i&4095], fn)
+		e.Step()
+	}
+}
+
+// The resident depths match the measured workloads: 4 is a lightly
+// loaded server, 44 the mean heap depth of the faulty service graph
+// (peak 82), and 1k a deep stress point.
+func BenchmarkChurnRandom4(b *testing.B)  { benchChurnRandom(b, 4) }
+func BenchmarkChurnRandom44(b *testing.B) { benchChurnRandom(b, 44) }
+func BenchmarkChurnRandom1k(b *testing.B) { benchChurnRandom(b, 1024) }
