@@ -214,30 +214,56 @@ func BenchmarkArea(b *testing.B) {
 // the comparison).
 func benchmarkFleetRouting(b *testing.B, hold, epoch sim.Duration, faults cluster.FaultConfig) {
 	b.ReportAllocs()
-	members := make([]cluster.MemberConfig, 8)
-	for i := range members {
-		scfg := server.DefaultConfig()
-		scfg.Seed = 1
-		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
-	}
-	fl, err := cluster.New(cluster.Config{
+	var src workload.Source
+	g := oneTierGraph(b, cluster.Config{
 		Policy:        cluster.PowerAware,
 		P99Target:     300 * sim.Microsecond,
 		Topology:      cluster.Flat(8),
 		DrainHold:     hold,
 		FeedbackEpoch: epoch,
 		Faults:        faults,
-		Members:       members,
-	}, workload.MemcachedBursty(300000, 8), 1)
+		Members:       benchMembers(8),
+		NewSource:     recordGenerator(&src),
+	}, workload.MemcachedBursty(300000, 8))
+	g.Run(sim.Millisecond) // prime the pipeline outside the timer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Run(sim.Millisecond)
+	}
+	b.ReportMetric(float64(src.Generated())/float64(b.N+1), "req/iter")
+}
+
+// benchMembers is n default CPC1A machines seeded like the experiments.
+func benchMembers(n int) []cluster.MemberConfig {
+	members := make([]cluster.MemberConfig, n)
+	for i := range members {
+		scfg := server.DefaultConfig()
+		scfg.Seed = 1
+		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
+	}
+	return members
+}
+
+// oneTierGraph builds cfg as a one-tier graph — the way every fleet
+// runs — at seed 1.
+func oneTierGraph(b *testing.B, cfg cluster.Config, spec workload.Spec) *cluster.Graph {
+	g, err := cluster.NewGraph(cluster.GraphConfig{
+		Tiers: []cluster.TierConfig{{Cluster: cfg, Spec: spec}},
+	}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	fl.Run(sim.Millisecond) // prime the pipeline outside the timer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fl.Run(sim.Millisecond)
+	return g
+}
+
+// recordGenerator is a Config.NewSource factory that builds the same
+// synthetic generator the fleet builds by default and records it in
+// *src, so a benchmark can report requests per iteration.
+func recordGenerator(src *workload.Source) func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source {
+	return func(eng *sim.Engine, spec workload.Spec, seed uint64, sink func(*workload.Request)) workload.Source {
+		*src = workload.NewGenerator(eng, spec, seed, sink)
+		return *src
 	}
-	b.ReportMetric(float64(fl.Generated())/float64(b.N+1), "req/iter")
 }
 
 // BenchmarkFleetRouting doubles as the disabled-fault-path baseline:
@@ -277,26 +303,23 @@ func BenchmarkFleetRoutingFaults(b *testing.B) {
 func BenchmarkFleetRoutingTiered(b *testing.B) {
 	b.ReportAllocs()
 	tier := func(n int, target sim.Duration, spec workload.Spec) cluster.TierConfig {
-		members := make([]cluster.MemberConfig, n)
-		for i := range members {
-			scfg := server.DefaultConfig()
-			scfg.Seed = 1
-			members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
-		}
 		return cluster.TierConfig{
 			Name: spec.Name,
 			Cluster: cluster.Config{
 				Policy:    cluster.PowerAware,
 				P99Target: target,
 				Topology:  cluster.Flat(n),
-				Members:   members,
+				Members:   benchMembers(n),
 			},
 			Spec: spec,
 		}
 	}
+	var src workload.Source
+	root := tier(8, 300*sim.Microsecond, workload.MemcachedBursty(300000, 8))
+	root.Cluster.NewSource = recordGenerator(&src)
 	g, err := cluster.NewGraph(cluster.GraphConfig{
 		Tiers: []cluster.TierConfig{
-			tier(8, 300*sim.Microsecond, workload.MemcachedBursty(300000, 8)),
+			root,
 			tier(4, 2*sim.Millisecond, workload.MySQL(0.1, 4)),
 		},
 		Edges: []cluster.EdgeConfig{
@@ -313,7 +336,7 @@ func BenchmarkFleetRoutingTiered(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Run(sim.Millisecond)
 	}
-	b.ReportMetric(float64(g.TierFleet(0).Generated())/float64(b.N+20), "req/iter")
+	b.ReportMetric(float64(src.Generated())/float64(b.N+20), "req/iter")
 }
 
 // BenchmarkFleetRoutingReplay prices the recorded-arrival hot path: the
@@ -339,31 +362,22 @@ func BenchmarkFleetRoutingReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	members := make([]cluster.MemberConfig, 8)
-	for i := range members {
-		scfg := server.DefaultConfig()
-		scfg.Seed = 1
-		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
-	}
-	fl, err := cluster.New(cluster.Config{
+	g := oneTierGraph(b, cluster.Config{
 		Policy:    cluster.PowerAware,
 		P99Target: 300 * sim.Microsecond,
 		Topology:  cluster.Flat(8),
-		Members:   members,
+		Members:   benchMembers(8),
 		NewSource: func(eng *sim.Engine, _ workload.Spec, _ uint64, sink func(*workload.Request)) workload.Source {
 			if err := rp.Bind(eng, sink); err != nil {
 				b.Fatal(err)
 			}
 			return rp
 		},
-	}, rd.Header().Spec(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fl.Run(sim.Millisecond) // prime the pipeline outside the timer
+	}, rd.Header().Spec())
+	g.Run(sim.Millisecond) // prime the pipeline outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fl.Run(sim.Millisecond)
+		g.Run(sim.Millisecond)
 	}
-	b.ReportMetric(float64(fl.Generated())/float64(b.N+1), "req/iter")
+	b.ReportMetric(float64(rp.Generated())/float64(b.N+1), "req/iter")
 }

@@ -109,7 +109,7 @@ func seedWrappers(pass *Pass) map[string]bool {
 // cross-package calls, where the body is out of reach — a top-level
 // function that takes an integer and returns a stream type
 // (stats.NewRNG's shape), judged from exported type information.
-// Functions that merely *plumb* a seed deeper (cluster.New,
+// Functions that merely *plumb* a seed deeper (cluster.NewGraph,
 // scenario.Run) are not creation sites; their own bodies are vetted
 // where they live.
 func isSeedWrapper(pass *Pass, wrappers map[string]bool, fn *types.Func) bool {

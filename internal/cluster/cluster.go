@@ -49,6 +49,11 @@
 // byte the single-server simulation (the scenario layer's parity test
 // enforces this), which pins the cluster layer as a strict
 // generalization.
+//
+// Fleets are built and driven only through a service Graph (graph.go):
+// a plain fleet is a one-tier graph, so NewGraph, Graph.Run,
+// Graph.Measure and Graph.Reset are the one way to assemble, run,
+// measure and reuse any fleet.
 package cluster
 
 import (
@@ -259,8 +264,8 @@ type member struct {
 	routed  uint64
 	dropped uint64
 	// truncated is the subset of dropped that was still actively
-	// draining when Run's cap tripped (engine had pending events) — the
-	// fleet mirror of server.(*Server).TruncatedDrain.
+	// draining when Graph.Run's cap tripped (engine had pending events)
+	// — the fleet mirror of server.(*Server).TruncatedDrain.
 	truncated uint64
 
 	// Fault-layer state (inert, all zero, without one; see faults.go and
@@ -286,7 +291,9 @@ type member struct {
 	win          *stats.Histogram // current-epoch latency window (feedback only)
 }
 
-// Fleet is N servers behind one load balancer on one engine.
+// Fleet is N servers behind one load balancer on one engine: one tier
+// of a Graph. It owns routing and per-member measurement; the graph
+// builds, resets and drives it (a plain fleet is a one-tier graph).
 type Fleet struct {
 	eng  *sim.Engine
 	cfg  Config
@@ -323,8 +330,8 @@ type Fleet struct {
 	// one nil check. See faults.go and recovery.go.
 	flt *faultState
 
-	// meas is the instrumentation scratch Measure reuses across calls
-	// and Reset cycles (see MeasureInto).
+	// meas holds the instrumentation buffers measureBegin and
+	// measureCollect reuse across measurements and Graph.Reset cycles.
 	meas measScratch
 
 	// onResolve, when non-nil, observes the final resolution of every
@@ -345,8 +352,8 @@ type Fleet struct {
 
 // measScratch holds the per-member instrumentation buffers of one
 // measurement pass. They are fleet-owned and recycled, so a sweep that
-// reuses a fleet (Reuse) pays for instrumentation storage once, not per
-// point.
+// reuses a graph (GraphReuse) pays for instrumentation storage once, not
+// per point.
 type measScratch struct {
 	tracers []*trace.Tracer
 	snaps   []power.Snapshot
@@ -378,78 +385,64 @@ func (s *measScratch) grow(n int) {
 	}
 }
 
-// New assembles a fleet on a fresh engine: every member's SoC and server
-// are built in index order on the shared engine, then one aggregate
-// generator (seeded with seed) feeds the balancer. The workload must be
-// open-loop: closed-loop clients bind to a single server's Submit and
-// bypass the balancer entirely.
-func New(cfg Config, spec workload.Spec, seed uint64) (*Fleet, error) {
-	return NewOn(sim.NewEngine(), cfg, spec, seed)
-}
-
-// NewOn assembles a fleet on a caller-supplied engine, so several
-// fleets can share one deterministic event order — the service-graph
-// layer (graph.go) builds each tier this way, and New is exactly
-// NewOn(sim.NewEngine(), ...). The caller owns the engine's clock:
-// fleets built on a shared engine must be run through a shared driver
-// (Graph.Run), never their own Run loops concurrently.
-func NewOn(eng *sim.Engine, cfg Config, spec workload.Spec, seed uint64) (*Fleet, error) {
-	topo, err := validateConfig(cfg, spec)
-	if err != nil {
-		return nil, err
+// topology returns the configured rack shape, normalized to Flat(n)
+// for the zero value.
+func (cfg Config) topology() Topology {
+	if cfg.Topology == (Topology{}) {
+		return Flat(len(cfg.Members))
 	}
-	f := &Fleet{eng: eng}
-	f.build(cfg, topo, spec, seed)
-	return f, nil
+	return cfg.Topology
 }
 
-// validateConfig rejects incoherent fleet configurations and returns the
-// normalized topology (Flat(n) for the zero value). It is the shared
-// front door of New and Reset.
-func validateConfig(cfg Config, spec workload.Spec) (Topology, error) {
+// validateConfig rejects incoherent fleet configurations. GraphConfig's
+// validate runs it on every tier before any fleet is built or reset.
+func validateConfig(cfg Config, spec workload.Spec) error {
 	if len(cfg.Members) == 0 {
-		return Topology{}, fmt.Errorf("cluster: fleet needs at least one member")
+		return fmt.Errorf("cluster: fleet needs at least one member")
 	}
 	switch cfg.Policy {
 	case RoundRobin, LeastLoaded, RackAffinity:
 	case PowerAware, RackPowerAware:
 		if cfg.P99Target <= 0 {
-			return Topology{}, fmt.Errorf("cluster: %v needs P99Target > 0", cfg.Policy)
+			return fmt.Errorf("cluster: %v needs P99Target > 0", cfg.Policy)
 		}
 	default:
-		return Topology{}, fmt.Errorf("cluster: unknown policy %v", cfg.Policy)
+		return fmt.Errorf("cluster: unknown policy %v", cfg.Policy)
 	}
 	if spec.Arrivals == nil {
-		return Topology{}, fmt.Errorf("cluster: open-loop workload required (spec has no arrival process)")
+		return fmt.Errorf("cluster: open-loop workload required (spec has no arrival process)")
 	}
-	topo := cfg.Topology
-	if topo == (Topology{}) {
-		topo = Flat(len(cfg.Members))
-	}
+	topo := cfg.topology()
 	if err := topo.validate(len(cfg.Members)); err != nil {
-		return Topology{}, err
+		return err
 	}
 	if cfg.TorLatency < 0 {
-		return Topology{}, fmt.Errorf("cluster: negative TorLatency")
+		return fmt.Errorf("cluster: negative TorLatency")
 	}
 	if cfg.DrainHold < 0 {
-		return Topology{}, fmt.Errorf("cluster: negative DrainHold")
+		return fmt.Errorf("cluster: negative DrainHold")
 	}
 	if cfg.FeedbackEpoch < 0 {
-		return Topology{}, fmt.Errorf("cluster: negative FeedbackEpoch")
+		return fmt.Errorf("cluster: negative FeedbackEpoch")
 	}
-	if err := cfg.Faults.validate(topo); err != nil {
-		return Topology{}, err
-	}
-	return topo, nil
+	return cfg.Faults.validate(topo)
 }
 
-// build assembles (or, on a reset fleet, reassembles) every layer of the
-// fleet on f.eng in exactly New's order — members in index order, then
-// the incremental policy structures, controller, fault layer, and
-// generator — so a rebuilt fleet schedules the identical initial event
-// sequence a fresh one would.
-func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64) {
+// build assembles every layer of the fleet on f.eng — members in index
+// order, then the incremental policy structures, controller, fault
+// layer, and generator — from a validated cfg. On a fleet that was
+// built before (Graph.Reset, after rewinding the shared engine and
+// checking that cfg keeps the topology shape the positional rack wiring
+// needs), it reassembles in that same order, so a rebuilt fleet
+// schedules the identical initial event sequence a fresh one would,
+// while reusing everything whose shape survives: the member and rack
+// structures, the segment tree, the pooled per-arrival records, the
+// generator's request pool, and the measurement buffers. The per-member
+// SoCs and servers are rebuilt rather than rewound: their device state
+// is deep, and reconstructing them on the reused engine is what the
+// arena makes cheap.
+func (f *Fleet) build(cfg Config, spec workload.Spec, seed uint64) {
+	topo := cfg.topology()
 	f.cfg, f.topo, f.spec = cfg, topo, spec
 	fresh := f.members == nil
 	if fresh {
@@ -519,74 +512,6 @@ func (m *member) reset() {
 	m.holdStart = 0
 	m.drains = 0
 	m.capMax = 0
-}
-
-// Reset rewinds the fleet to the state New(cfg, spec, seed) would have
-// produced, reusing everything whose shape survives: the engine's event
-// arena and queue storage, the member and rack structures, the segment
-// tree, the pooled per-arrival records, the generator's request pool,
-// and the measurement scratch. Only the topology shape is pinned — cfg
-// must keep the member count and rack layout of the original fleet
-// (policy, targets, per-member configs and fault setup may all change,
-// since every derived value is recomputed) — because the balancer's
-// rack wiring is positional. The per-member SoCs and servers are rebuilt
-// rather than rewound: their device state is deep, and reconstructing
-// them on the reused engine is what the arena makes cheap.
-//
-// A reset fleet is byte-identical to a fresh one
-// (TestFleetResetDeterministic): the engine restarts at time zero with
-// slot numbering matching a fresh engine's, and build reassembles the
-// layers in New's exact order.
-func (f *Fleet) Reset(cfg Config, spec workload.Spec, seed uint64) error {
-	topo, err := validateConfig(cfg, spec)
-	if err != nil {
-		return err
-	}
-	if topo != f.topo || len(cfg.Members) != len(f.members) {
-		return fmt.Errorf("cluster: Reset needs the original topology %v (got %v)", f.topo, topo)
-	}
-	f.eng.Reset()
-	f.build(cfg, topo, spec, seed)
-	return nil
-}
-
-// resetOn is Reset without the engine rewind, for fleets sharing an
-// engine: the graph resets the shared engine exactly once, then rebuilds
-// each tier's fleet in order through this.
-func (f *Fleet) resetOn(cfg Config, spec workload.Spec, seed uint64) error {
-	topo, err := validateConfig(cfg, spec)
-	if err != nil {
-		return err
-	}
-	if topo != f.topo || len(cfg.Members) != len(f.members) {
-		return fmt.Errorf("cluster: Reset needs the original topology %v (got %v)", f.topo, topo)
-	}
-	f.build(cfg, topo, spec, seed)
-	return nil
-}
-
-// Reuse caches one fleet across the points of a sweep, resetting it
-// when the next point's shape matches and rebuilding only when it
-// cannot. One Reuse serves one sweep worker — it is not safe for
-// concurrent use — and because Reset is byte-identical to a fresh
-// build, sweeps that reuse fleets stay bit-identical at any
-// parallelism. The zero value is ready.
-type Reuse struct {
-	fl *Fleet
-}
-
-// Fleet returns a fleet for (cfg, spec, seed): the cached one reset in
-// place when the topology shape allows, a newly built one otherwise.
-func (r *Reuse) Fleet(cfg Config, spec workload.Spec, seed uint64) (*Fleet, error) {
-	if r.fl != nil && r.fl.Reset(cfg, spec, seed) == nil {
-		return r.fl, nil
-	}
-	fl, err := New(cfg, spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	r.fl = fl
-	return fl, nil
 }
 
 // capFor derives the per-server packing cap each policy bins against.
@@ -872,30 +797,6 @@ func (f *Fleet) leastLoaded() *member {
 	return f.members[0]
 }
 
-// Engine returns the shared engine all members run on.
-func (f *Fleet) Engine() *sim.Engine { return f.eng }
-
-// Servers returns the fleet size.
-func (f *Fleet) Servers() int { return len(f.members) }
-
-// Topology returns the rack shape the fleet was assembled with (Flat(N)
-// when the configuration left it zero).
-func (f *Fleet) Topology() Topology { return f.topo }
-
-// Generated returns how many requests the aggregate generator emitted.
-func (f *Fleet) Generated() uint64 { return f.gen.Generated() }
-
-// Dropped returns the fleet-wide leak counter: requests still in flight
-// when the most recent Run call gave up draining (per-server values are
-// in Measurement.Servers). Mirrors server.(*Server).Dropped for a fleet.
-func (f *Fleet) Dropped() uint64 {
-	var n uint64
-	for _, m := range f.members {
-		n += m.dropped
-	}
-	return n
-}
-
 // inFlightTotal sums the servers' in-flight counters plus requests still
 // riding a ToR hop, so the drain loop cannot declare the fleet empty
 // while a request is between the balancer and a remote rack.
@@ -905,37 +806,6 @@ func (f *Fleet) inFlightTotal() int {
 		n += f.load(m)
 	}
 	return n
-}
-
-// Run generates aggregate load for d of virtual time, then drains until
-// every in-flight request on every server completes, up to
-// server.DrainCap of extra virtual time — the same window/drain sequence
-// as server.(*Server).Run, which the 1-server parity contract depends
-// on. Requests still in flight when the cap trips are snapshotted into
-// the per-member dropped counters.
-func (f *Fleet) Run(d sim.Duration) {
-	stop := f.eng.Now() + d
-	f.gen.Start(stop)
-	f.eng.Run(stop)
-	deadline := f.eng.Now() + server.DrainCap
-	for f.inFlightTotal() > 0 && f.eng.Now() < deadline {
-		f.eng.Run(f.eng.Now() + sim.Millisecond)
-	}
-	// Same leaked-vs-truncated discriminator as server.(*Server).Run: a
-	// non-empty event queue means the stragglers are progressing and
-	// merely outlived the cap. The feedback loop's perpetual epoch tick
-	// (and fault-injection timers) keep the queue non-empty, so on those
-	// configurations the discriminator is optimistic, like the
-	// single-server one is under timer ticks.
-	trunc := f.inFlightTotal() > 0 && f.eng.Pending() > 0
-	for _, m := range f.members {
-		m.dropped = uint64(f.load(m))
-		if trunc {
-			m.truncated = m.dropped
-		} else {
-			m.truncated = 0
-		}
-	}
 }
 
 // ServerStats is the measured outcome of one fleet member.
@@ -1100,34 +970,6 @@ type Measurement struct {
 	Racks []RackStats `json:"racks,omitempty"`
 }
 
-// Measure runs the fleet through the standard warmup → instrument →
-// measure sequence the single-server experiments use (warmup first, then
-// tracers and power snapshots attached, then the measured window) and
-// returns the fleet-wide measurement. Call it at most once per fleet
-// build or Reset — the tracers it attaches stay attached. The returned
-// value's slices are freshly allocated, so callers may retain it across
-// further use of the fleet.
-func (f *Fleet) Measure(warmup, duration sim.Duration) Measurement {
-	var out Measurement
-	f.MeasureInto(&out, warmup, duration)
-	return out
-}
-
-// MeasureInto is Measure writing into a caller-owned Measurement: out's
-// Servers and Racks backing arrays are reused across calls (everything
-// else in *out is overwritten), and all per-member instrumentation
-// state comes from the fleet's reusable scratch. Callers that retain
-// measurements across sweep points want Measure; callers that consume
-// them point-by-point use this and allocate nothing but the histograms'
-// first growth.
-func (f *Fleet) MeasureInto(out *Measurement, warmup, duration sim.Duration) {
-	f.Run(warmup)
-	f.measureBegin()
-	t0 := f.eng.Now()
-	f.Run(duration)
-	f.measureCollect(out, f.eng.Now()-t0)
-}
-
 // measureBegin attaches the per-member tracers and records every
 // baseline (power snapshots, served counts, PC1A residency, fault OKs)
 // at the instant the measured window opens. Split from measureCollect
@@ -1156,8 +998,8 @@ func (f *Fleet) measureBegin() {
 }
 
 // measureCollect finalizes the tracers measureBegin attached and folds
-// the window's deltas into *out, exactly as the tail of the historical
-// MeasureInto did.
+// the window's deltas into *out, reusing out's Servers and Racks backing
+// arrays (everything else in *out is overwritten).
 func (f *Fleet) measureCollect(out *Measurement, window sim.Duration) {
 	n := len(f.members)
 	s := &f.meas

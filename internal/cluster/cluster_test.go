@@ -20,6 +20,49 @@ func uniformMembers(n int, kind soc.ConfigKind) []MemberConfig {
 	return members
 }
 
+// testFleet is a fleet under test, driven the only way fleets run: as
+// the sole tier of a one-tier graph. The embedded *Fleet keeps the
+// balancer's internals reachable for white-box assertions.
+type testFleet struct {
+	*Fleet
+	g *Graph
+}
+
+// oneTier wraps one fleet configuration as a graph.
+func oneTier(cfg Config, spec workload.Spec) GraphConfig {
+	return GraphConfig{Tiers: []TierConfig{{Cluster: cfg, Spec: spec}}}
+}
+
+// newFleet builds cfg as a one-tier graph on a fresh engine.
+func newFleet(cfg Config, spec workload.Spec, seed uint64) (*testFleet, error) {
+	g, err := NewGraph(oneTier(cfg, spec), seed)
+	if err != nil {
+		return nil, err
+	}
+	return &testFleet{Fleet: g.tiers[0].fl, g: g}, nil
+}
+
+// Run drives the graph, and so the fleet, for d of virtual time.
+func (f *testFleet) Run(d sim.Duration) { f.g.Run(d) }
+
+// Measure is the graph's measurement of its only tier.
+func (f *testFleet) Measure(warmup, duration sim.Duration) Measurement {
+	return f.g.Measure(warmup, duration).Tiers[0].Fleet
+}
+
+// Generated returns how many requests the fleet's source emitted.
+func (f *testFleet) Generated() uint64 { return f.gen.Generated() }
+
+// Dropped sums the members' leak counters: requests still in flight
+// when the most recent Run gave up draining.
+func (f *testFleet) Dropped() uint64 {
+	var n uint64
+	for _, m := range f.members {
+		n += m.dropped
+	}
+	return n
+}
+
 func TestPolicyParseRoundTrip(t *testing.T) {
 	for _, p := range []Policy{RoundRobin, LeastLoaded, PowerAware, RackAffinity, RackPowerAware} {
 		got, err := ParsePolicy(p.String())
@@ -55,14 +98,14 @@ func TestNewValidation(t *testing.T) {
 			TorLatency: -sim.Microsecond, Members: uniformMembers(2, soc.CPC1A)}, spec},
 	}
 	for _, c := range cases {
-		if _, err := New(c.cfg, c.spec, 1); err == nil {
-			t.Errorf("%s: New accepted an invalid config", c.name)
+		if _, err := newFleet(c.cfg, c.spec, 1); err == nil {
+			t.Errorf("%s: NewGraph accepted an invalid fleet config", c.name)
 		}
 	}
 }
 
 func TestRoundRobinEvenSpread(t *testing.T) {
-	fl, err := New(Config{Policy: RoundRobin, Members: uniformMembers(4, soc.CPC1A)},
+	fl, err := newFleet(Config{Policy: RoundRobin, Members: uniformMembers(4, soc.CPC1A)},
 		workload.Memcached(40000), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +129,7 @@ func TestRoundRobinEvenSpread(t *testing.T) {
 }
 
 func TestLeastLoadedUsesAllServers(t *testing.T) {
-	fl, err := New(Config{Policy: LeastLoaded, Members: uniformMembers(4, soc.CPC1A)},
+	fl, err := newFleet(Config{Policy: LeastLoaded, Members: uniformMembers(4, soc.CPC1A)},
 		workload.Memcached(40000), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +146,7 @@ func TestLeastLoadedUsesAllServers(t *testing.T) {
 // load it concentrates traffic on the low-indexed servers so the
 // high-indexed ones idle into deep package C-states.
 func TestPowerAwarePacks(t *testing.T) {
-	fl, err := New(Config{
+	fl, err := newFleet(Config{
 		Policy:    PowerAware,
 		P99Target: 300 * sim.Microsecond,
 		Members:   uniformMembers(4, soc.CPC1A),
@@ -136,7 +179,7 @@ func TestPowerAwarePacks(t *testing.T) {
 func TestFleetDeterminism(t *testing.T) {
 	for _, pol := range []Policy{RoundRobin, LeastLoaded, PowerAware, RackAffinity, RackPowerAware} {
 		run := func() Measurement {
-			fl, err := New(Config{
+			fl, err := newFleet(Config{
 				Policy:     pol,
 				P99Target:  300 * sim.Microsecond,
 				Topology:   Topology{Racks: 3, ServersPerRack: 1},
@@ -167,7 +210,7 @@ func TestDroppedSaturatedServer(t *testing.T) {
 	members := uniformMembers(2, soc.CPC1A)
 	members[1].Server = slow
 
-	fl, err := New(Config{Policy: RoundRobin, Members: members},
+	fl, err := newFleet(Config{Policy: RoundRobin, Members: members},
 		workload.Memcached(10000), 1)
 	if err != nil {
 		t.Fatal(err)

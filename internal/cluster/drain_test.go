@@ -12,9 +12,9 @@ import (
 
 // drainFleet assembles the standard controller-test fleet: a bursty
 // 2×2 racked power-aware fleet whose packing frontier actually moves.
-func drainFleet(t *testing.T, pol Policy, hold, epoch sim.Duration) *Fleet {
+func drainFleet(t *testing.T, pol Policy, hold, epoch sim.Duration) *testFleet {
 	t.Helper()
-	fl, err := New(Config{
+	fl, err := newFleet(Config{
 		Policy:        pol,
 		P99Target:     300 * sim.Microsecond,
 		Topology:      Topology{Racks: 2, ServersPerRack: 2},
@@ -114,8 +114,8 @@ func TestDrainHoldGuaranteesIdleStretch(t *testing.T) {
 // count — against a config that never mentions the fields. Non-cap
 // policies must ignore the knobs entirely, mirroring P99Target.
 func TestDrainControllerOffParity(t *testing.T) {
-	measure := func(cfg Config) (Measurement, uint64, *Fleet) {
-		fl, err := New(cfg, workload.MemcachedBursty(100000, 4), 3)
+	measure := func(cfg Config) (Measurement, uint64, *testFleet) {
+		fl, err := newFleet(cfg, workload.MemcachedBursty(100000, 4), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,8 +177,8 @@ func TestDrainDeterminism(t *testing.T) {
 // below the derived static value, and a lightly loaded fleet under a
 // generous target must grow them (bounded by capMax).
 func TestFeedbackAdjustsCaps(t *testing.T) {
-	build := func(target sim.Duration, qps float64) *Fleet {
-		fl, err := New(Config{
+	build := func(target sim.Duration, qps float64) *testFleet {
+		fl, err := newFleet(Config{
 			Policy:        PowerAware,
 			P99Target:     target,
 			FeedbackEpoch: sim.Millisecond,

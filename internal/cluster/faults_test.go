@@ -14,9 +14,9 @@ import (
 
 // faultFleet assembles the standard fault-test fleet: the drain-test
 // topology (bursty 2×2 racked) with the given fault configuration.
-func faultFleet(t *testing.T, pol Policy, fc FaultConfig, hold, epoch sim.Duration) *Fleet {
+func faultFleet(t *testing.T, pol Policy, fc FaultConfig, hold, epoch sim.Duration) *testFleet {
 	t.Helper()
-	fl, err := New(Config{
+	fl, err := newFleet(Config{
 		Policy:        pol,
 		P99Target:     300 * sim.Microsecond,
 		Topology:      Topology{Racks: 2, ServersPerRack: 2},
@@ -54,8 +54,8 @@ func TestFaultConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := base()
 		cfg.Faults = tc.fc
-		if _, err := New(cfg, spec, 1); err == nil {
-			t.Errorf("%s: New accepted the config", tc.name)
+		if _, err := newFleet(cfg, spec, 1); err == nil {
+			t.Errorf("%s: NewGraph accepted the config", tc.name)
 		}
 	}
 	// The same partition config is valid on a racked fleet.
@@ -63,7 +63,7 @@ func TestFaultConfigValidation(t *testing.T) {
 	cfg.Topology = Topology{Racks: 2, ServersPerRack: 1}
 	cfg.TorLatency = 5 * sim.Microsecond
 	cfg.Faults = FaultConfig{TorPartitionMTBF: sim.Millisecond, TorPartitionDuration: sim.Millisecond}
-	if _, err := New(cfg, spec, 1); err != nil {
+	if _, err := newFleet(cfg, spec, 1); err != nil {
 		t.Errorf("racked partition config rejected: %v", err)
 	}
 }
@@ -243,7 +243,7 @@ func TestTimeoutExhaustsRetryBudget(t *testing.T) {
 		Connections: 16,
 		MemAccesses: 1,
 	}
-	fl, err := New(Config{
+	fl, err := newFleet(Config{
 		Policy:  RoundRobin,
 		Faults:  FaultConfig{RequestTimeout: sim.Millisecond, MaxRetries: retries},
 		Members: uniformMembers(2, soc.CPC1A),
@@ -270,7 +270,7 @@ func TestTimeoutExhaustsRetryBudget(t *testing.T) {
 // delay, the losing copy's response is ignored (machine completions
 // exceed client successes), and no request is double-counted.
 func TestHedgeRaceFirstResponseWins(t *testing.T) {
-	fl, err := New(Config{
+	fl, err := newFleet(Config{
 		Policy:  LeastLoaded,
 		Faults:  FaultConfig{HedgeDelay: 50 * sim.Microsecond},
 		Members: uniformMembers(2, soc.CPC1A),
@@ -358,7 +358,7 @@ func TestRackDroppedAggregation(t *testing.T) {
 		Connections: 8,
 		MemAccesses: 1,
 	}
-	fl, err := New(Config{
+	fl, err := newFleet(Config{
 		Policy:     RoundRobin,
 		Topology:   Topology{Racks: 2, ServersPerRack: 1},
 		TorLatency: 5 * sim.Microsecond,

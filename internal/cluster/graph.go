@@ -30,12 +30,11 @@ package cluster
 // exactly the sum of Issued over its incoming edges. At the client,
 // Served + Failed + still-pending joins = root Generated.
 //
-// The defining contract, as with every optional layer before it: a
-// one-tier graph builds its fleet with the caller's seed on a fresh
-// engine and drives it through the exact Run/Measure sequence Fleet
-// uses, and with no edges the onResolve hook stays nil — so a
-// single-tier graph is byte-identical to the plain cluster fleet
-// (TestGraphSingleTierParity).
+// The graph is the one way fleets run: a plain fleet is a one-tier
+// graph. Tier 0 is built with the caller's seed on a fresh engine, and
+// with no edges the onResolve hook stays nil, so a one-tier graph pays
+// nothing for the edge machinery — the scenario layer's cluster block
+// runs as exactly such a graph (TestTiersSingleTierParity).
 
 import (
 	"fmt"
@@ -108,7 +107,7 @@ func (cfg GraphConfig) validate() error {
 		if i > 0 && tc.Cluster.NewSource != nil {
 			return fmt.Errorf("cluster: tier %d (%s): only the root tier may set NewSource (non-root tiers are driven by upstream misses)", i, tc.Name)
 		}
-		if _, err := validateConfig(tc.Cluster, tc.Spec); err != nil {
+		if err := validateConfig(tc.Cluster, tc.Spec); err != nil {
 			return fmt.Errorf("tier %d (%s): %w", i, tc.Name, err)
 		}
 	}
@@ -249,16 +248,15 @@ func NewGraph(cfg GraphConfig, seed uint64) (*Graph, error) {
 		return nil, err
 	}
 	g := &Graph{eng: sim.NewEngine()}
-	if err := g.build(cfg, seed); err != nil {
-		return nil, err
-	}
+	g.build(cfg, seed)
 	return g, nil
 }
 
-// build assembles (or, on Reset, reassembles) the graph in a fixed
-// order — tiers first, in index order, then edges — so a rebuilt graph
-// schedules the identical initial event sequence a fresh one would.
-func (g *Graph) build(cfg GraphConfig, seed uint64) error {
+// build assembles (or, on Reset, reassembles) a validated graph in a
+// fixed order — tiers first, in index order, then edges — so a rebuilt
+// graph schedules the identical initial event sequence a fresh one
+// would.
+func (g *Graph) build(cfg GraphConfig, seed uint64) {
 	g.cfg = cfg
 	fresh := g.tiers == nil
 	if fresh {
@@ -300,14 +298,9 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 			}
 		}
 		if t.fl == nil {
-			fl, err := NewOn(g.eng, fcfg, tc.Spec, tseed)
-			if err != nil {
-				return err
-			}
-			t.fl = fl
-		} else if err := t.fl.resetOn(fcfg, tc.Spec, tseed); err != nil {
-			return err
+			t.fl = &Fleet{eng: g.eng}
 		}
+		t.fl.build(fcfg, tc.Spec, tseed)
 		if wired {
 			// The hook is what turns completions into lookups; without
 			// edges it stays nil and the tier is a plain fleet, byte for
@@ -346,14 +339,15 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 		e.lookups, e.misses, e.ttlMisses, e.issued = 0, 0, 0, 0
 		g.tiers[ec.From].out = append(g.tiers[ec.From].out, e)
 	}
-	return nil
 }
 
 // Reset rewinds the graph to the state NewGraph(cfg, seed) would have
-// produced, reusing the engine arena, every tier's fleet (under
-// Fleet.Reset's shape rules), the push sources' request pools, the
-// join pool and the pending maps. Mirrors Fleet.Reset: a reset graph
-// is byte-identical to a fresh one.
+// produced, reusing the engine arena, every tier's fleet (rebuilt in
+// place; each tier must keep its topology shape), the push sources'
+// request pools, the join pool and the pending maps. A reset graph is
+// byte-identical to a fresh one: the engine restarts at time zero with
+// slot numbering matching a fresh engine's, and build reassembles the
+// layers in NewGraph's exact order.
 func (g *Graph) Reset(cfg GraphConfig, seed uint64) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -365,22 +359,23 @@ func (g *Graph) Reset(cfg GraphConfig, seed uint64) error {
 	// Pre-check every tier's topology shape so a mismatch is reported
 	// before any state is torn down.
 	for i, tc := range cfg.Tiers {
-		topo := tc.Cluster.Topology
-		if topo == (Topology{}) {
-			topo = Flat(len(tc.Cluster.Members))
-		}
+		topo := tc.Cluster.topology()
 		fl := g.tiers[i].fl
 		if topo != fl.topo || len(tc.Cluster.Members) != len(fl.members) {
 			return fmt.Errorf("cluster: graph Reset: tier %d needs the original topology %v (got %v)", i, fl.topo, topo)
 		}
 	}
 	g.eng.Reset()
-	return g.build(cfg, seed)
+	g.build(cfg, seed)
+	return nil
 }
 
-// GraphReuse caches one graph across the points of a sweep, exactly as
-// Reuse does for fleets: reset in place when the shape matches, rebuilt
-// when it cannot be. The zero value is ready.
+// GraphReuse caches one graph across the points of a sweep: reset in
+// place when the shape matches, rebuilt when it cannot be. One
+// GraphReuse serves one sweep worker — it is not safe for concurrent
+// use — and because Reset is byte-identical to a fresh build, sweeps
+// that reuse graphs stay bit-identical at any parallelism. The zero
+// value is ready.
 type GraphReuse struct {
 	g *Graph
 }
@@ -398,16 +393,6 @@ func (r *GraphReuse) Graph(cfg GraphConfig, seed uint64) (*Graph, error) {
 	r.g = g
 	return g, nil
 }
-
-// Engine returns the shared engine (for tests).
-func (g *Graph) Engine() *sim.Engine { return g.eng }
-
-// Tiers returns the tier count.
-func (g *Graph) Tiers() int { return len(g.tiers) }
-
-// TierFleet returns tier i's fleet (for tests and benchmarks; the
-// fleet must keep being driven through the graph's Run).
-func (g *Graph) TierFleet(i int) *Fleet { return g.tiers[i].fl }
 
 // newJoin takes a join record off the pool or allocates one.
 //
@@ -546,12 +531,15 @@ func (g *Graph) inFlight() int {
 }
 
 // Run generates root-tier load for d of virtual time, then drains every
-// tier, mirroring Fleet.Run event for event — the sequence the
-// single-tier parity contract depends on. Non-root sources have no
-// arrival chain to start, so the Start loop degenerates to the fleet's
-// single Start on one-tier graphs. Misses discovered during the drain
-// still issue their backend requests: the drain loop keeps going until
-// every tier is empty or the cap trips.
+// tier until every in-flight request completes, up to server.DrainCap
+// of extra virtual time — the same window/drain sequence as
+// server.(*Server).Run, which the 1-server parity contract
+// (TestClusterSingleServerParity) depends on. Non-root sources have no
+// arrival chain to start, so on one-tier graphs the Start loop is the
+// root source's single Start. Misses discovered during the drain still
+// emit their backend requests: the drain loop keeps going until every
+// tier is empty or the cap trips. Requests still in flight when the cap
+// trips are snapshotted into the per-member dropped counters.
 func (g *Graph) Run(d sim.Duration) {
 	stop := g.eng.Now() + d
 	for _, t := range g.tiers {
@@ -562,6 +550,12 @@ func (g *Graph) Run(d sim.Duration) {
 	for g.inFlight() > 0 && g.eng.Now() < deadline {
 		g.eng.Run(g.eng.Now() + sim.Millisecond)
 	}
+	// Same leaked-vs-truncated discriminator as server.(*Server).Run: a
+	// non-empty event queue means the stragglers are progressing and
+	// merely outlived the cap. The feedback loop's perpetual epoch tick
+	// (and fault-injection timers) keep the queue non-empty, so on those
+	// configurations the discriminator is optimistic, like the
+	// single-server one is under timer ticks.
 	trunc := g.inFlight() > 0 && g.eng.Pending() > 0
 	for _, t := range g.tiers {
 		for _, m := range t.fl.members {
@@ -629,8 +623,10 @@ type GraphMeasurement struct {
 // Measure runs the graph through the standard warmup → instrument →
 // measure sequence: warmup once, every tier's instrumentation attached
 // at the same instant, one shared measured window, every tier
-// collected against it. On a one-tier graph this is exactly
-// Fleet.Measure. Call at most once per build or Reset.
+// collected against it. Call at most once per build or Reset — the
+// tracers it attaches stay attached. The returned value's slices are
+// freshly allocated, so callers may retain it across further use of the
+// graph.
 func (g *Graph) Measure(warmup, duration sim.Duration) GraphMeasurement {
 	g.Run(warmup)
 	for _, t := range g.tiers {

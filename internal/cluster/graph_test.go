@@ -37,60 +37,6 @@ func twoTierConfig(hitRatio float64, ttl sim.Duration, fanout int) GraphConfig {
 	}
 }
 
-// TestGraphSingleTierParity is the defining contract: a one-tier graph
-// — no edges, no hook, the caller's seed on tier 0 — must measure
-// byte-identically to the plain fleet it wraps, structure for
-// structure, across policies and with the fault layer attached.
-func TestGraphSingleTierParity(t *testing.T) {
-	specs := []struct {
-		name string
-		cfg  Config
-	}{
-		{"power_aware", Config{
-			Policy: PowerAware, P99Target: 300 * sim.Microsecond,
-			Members: uniformMembers(4, soc.CPC1A),
-		}},
-		{"racked drain", Config{
-			Policy: RackPowerAware, P99Target: 300 * sim.Microsecond,
-			Topology: Topology{Racks: 2, ServersPerRack: 2}, TorLatency: 5 * sim.Microsecond,
-			DrainHold: sim.Millisecond,
-			Members:   uniformMembers(4, soc.CPC1A),
-		}},
-		{"faults", Config{
-			Policy: LeastLoaded,
-			Faults: FaultConfig{
-				MTBF: 20 * sim.Millisecond, MTTR: 2 * sim.Millisecond,
-				RequestTimeout: sim.Millisecond, MaxRetries: 2,
-			},
-			Members: uniformMembers(3, soc.CPC1A),
-		}},
-	}
-	spec := workload.Memcached(80000)
-	for _, c := range specs {
-		t.Run(c.name, func(t *testing.T) {
-			fl, err := New(c.cfg, spec, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := fl.Measure(2*sim.Millisecond, 20*sim.Millisecond)
-
-			g, err := NewGraph(GraphConfig{
-				Tiers: []TierConfig{{Name: "only", Cluster: c.cfg, Spec: spec}},
-			}, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gm := g.Measure(2*sim.Millisecond, 20*sim.Millisecond)
-			if len(gm.Tiers) != 1 || gm.Edges != nil || gm.Client != nil {
-				t.Fatalf("one-tier graph measurement carries graph-only state: %+v", gm)
-			}
-			if !reflect.DeepEqual(gm.Tiers[0].Fleet, want) {
-				t.Errorf("one-tier graph diverges from the plain fleet:\ngraph: %+v\nfleet: %+v", gm.Tiers[0].Fleet, want)
-			}
-		})
-	}
-}
-
 // TestGraphConservation locks the cross-tier accounting identities: on
 // every edge Issued = Fanout·Misses and Hits = Lookups−Misses; the
 // backend's Generated count is exactly the edge's Issued; and the

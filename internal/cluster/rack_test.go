@@ -28,9 +28,9 @@ func TestTopologyShape(t *testing.T) {
 }
 
 // rackFleet builds a racks×perRack CPC1A fleet under the given policy.
-func rackFleet(t *testing.T, pol Policy, racks, perRack int, tor sim.Duration, spec workload.Spec) *Fleet {
+func rackFleet(t *testing.T, pol Policy, racks, perRack int, tor sim.Duration, spec workload.Spec) *testFleet {
 	t.Helper()
-	fl, err := New(Config{
+	fl, err := newFleet(Config{
 		Policy:     pol,
 		P99Target:  300 * sim.Microsecond,
 		Topology:   Topology{Racks: racks, ServersPerRack: perRack},
@@ -150,7 +150,7 @@ func TestTorTransitDrains(t *testing.T) {
 func TestFlatTopologyMatchesRackless(t *testing.T) {
 	for _, pol := range []Policy{RoundRobin, LeastLoaded, PowerAware} {
 		run := func(topo Topology) Measurement {
-			fl, err := New(Config{
+			fl, err := newFleet(Config{
 				Policy:    pol,
 				P99Target: 300 * sim.Microsecond,
 				Topology:  topo,

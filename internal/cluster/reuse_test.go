@@ -67,40 +67,40 @@ func dirtyConfig(topo Topology) Config {
 	}
 }
 
-// TestFleetResetDeterministic is the Reset contract: a reset fleet is
-// byte-identical to a fresh one. Each case first runs a different
-// same-shape point on the fleet (different policy, spec, seed and
-// controller/fault setup), resets to the target point, and requires the
-// measurement to equal a fresh fleet's exactly — including the reused
-// MeasureInto output buffers.
+// TestFleetResetDeterministic is the Reset contract on every balancer
+// mechanism: a reset one-tier graph is byte-identical to a fresh one.
+// Each case first runs a different same-shape point on the graph
+// (different policy, spec, seed and controller/fault setup), resets to
+// the target point through GraphReuse, and requires the measurement to
+// equal a fresh graph's exactly — with the fleet's measurement buffers
+// reused from the dirty point.
 func TestFleetResetDeterministic(t *testing.T) {
 	const warmup, window = 3 * sim.Millisecond, 15 * sim.Millisecond
 	specFn := func() workload.Spec { return workload.MemcachedBursty(40000, 4) }
 	for _, c := range resetCases {
 		cfg := resetConfig(c.cfg)
 
-		fresh, err := New(cfg, specFn(), 7)
+		fresh, err := newFleet(cfg, specFn(), 7)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		want := fresh.Measure(warmup, window)
 
-		var r Reuse
-		dirty, err := r.Fleet(dirtyConfig(cfg.Topology), workload.MemcachedBursty(60000, 8), 3)
+		var r GraphReuse
+		dirty, err := r.Graph(oneTier(dirtyConfig(cfg.Topology), workload.MemcachedBursty(60000, 8)), 3)
 		if err != nil {
 			t.Fatalf("%s: dirty point: %v", c.name, err)
 		}
-		var got Measurement
-		dirty.MeasureInto(&got, warmup, window) // dirty the output buffers too
+		dirty.Measure(warmup, window)
 
-		fl, err := r.Fleet(cfg, specFn(), 7)
+		g, err := r.Graph(oneTier(cfg, specFn()), 7)
 		if err != nil {
 			t.Fatalf("%s: reset point: %v", c.name, err)
 		}
-		if fl != dirty {
-			t.Fatalf("%s: Reuse rebuilt instead of resetting a same-shape fleet", c.name)
+		if g != dirty {
+			t.Fatalf("%s: GraphReuse rebuilt instead of resetting a same-shape graph", c.name)
 		}
-		fl.MeasureInto(&got, warmup, window)
+		got := g.Measure(warmup, window).Tiers[0].Fleet
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: reset fleet diverged from fresh fleet:\nfresh: %+v\nreset: %+v",
 				c.name, want, got)
@@ -108,34 +108,35 @@ func TestFleetResetDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetResetShapeGuard pins the one thing Reset refuses: changing
-// the fleet's topology shape, which the positional rack wiring cannot
-// absorb.
+// TestFleetResetShapeGuard pins the one thing Graph.Reset refuses:
+// changing a tier's topology shape, which the positional rack wiring
+// cannot absorb — and that an invalid point is refused before anything
+// is torn down.
 func TestFleetResetShapeGuard(t *testing.T) {
 	spec := workload.Memcached(10000)
-	fl, err := New(resetConfig(Config{Policy: RoundRobin}), spec, 1)
+	fl, err := newFleet(resetConfig(Config{Policy: RoundRobin}), spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := Config{
+	bad := oneTier(Config{
 		Policy:   RoundRobin,
 		Topology: Topology{Racks: 2, ServersPerRack: 2},
 		Members:  uniformMembers(4, soc.CPC1A),
-	}
-	if err := fl.Reset(bad, spec, 1); err == nil {
+	}, spec)
+	if err := fl.g.Reset(bad, 1); err == nil {
 		t.Error("Reset accepted a topology reshape")
 	}
-	if err := fl.Reset(resetConfig(Config{Policy: Policy(99)}), spec, 1); err == nil {
+	if err := fl.g.Reset(oneTier(resetConfig(Config{Policy: Policy(99)}), spec), 1); err == nil {
 		t.Error("Reset accepted an invalid config")
 	}
-	// A Reuse falls back to a rebuild for the same reshape.
-	r := Reuse{fl: fl}
-	fl2, err := r.Fleet(bad, spec, 1)
+	// A GraphReuse falls back to a rebuild for the same reshape.
+	r := GraphReuse{g: fl.g}
+	g2, err := r.Graph(bad, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fl2 == fl {
-		t.Error("Reuse handed back the old fleet for a reshaped point")
+	if g2 == fl.g {
+		t.Error("GraphReuse handed back the old graph for a reshaped point")
 	}
 }
 
@@ -144,7 +145,7 @@ func TestFleetResetShapeGuard(t *testing.T) {
 // tracked load equals the server's own in-flight count plus the
 // requests still riding the ToR hop toward it.
 func TestMemberLoadTracksServer(t *testing.T) {
-	fl, err := New(Config{
+	fl, err := newFleet(Config{
 		Policy:     RackPowerAware,
 		P99Target:  300 * sim.Microsecond,
 		Topology:   Topology{Racks: 2, ServersPerRack: 2},
@@ -200,7 +201,7 @@ func TestRouteSteadyStateAllocs(t *testing.T) {
 					HedgeDelay:     500 * sim.Microsecond,
 				}
 			}
-			fl, err := New(cfg, workload.MemcachedBursty(60000, 8), 7)
+			fl, err := newFleet(cfg, workload.MemcachedBursty(60000, 8), 7)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -56,17 +56,15 @@ func init() {
 		func(o Options) (Result, error) { return RackPacking(o, DefaultRackTopologies) })
 }
 
-// measureFleet builds and measures one fleet of default CPC1A machines:
-// cfg carries everything but the members, which are filled in from the
-// topology (Flat(n) for unracked fleets). specFn builds the workload per
-// call: arrival processes (MMPP2) carry mutable phase state, so
-// concurrently-running fleets must never share one spec value. reuse is
-// the calling sweep worker's fleet cache — consecutive points with the
-// same topology shape reset one fleet instead of building a new one.
-// newReuse builds one fleet cache per sweep worker (SweepWith's newS).
-func newReuse() *cluster.Reuse { return new(cluster.Reuse) }
-
-func measureFleet(reuse *cluster.Reuse, opt Options, cfg cluster.Config, specFn func() workload.Spec) cluster.Measurement {
+// measureFleet builds and measures one fleet of default CPC1A machines
+// as a one-tier graph: cfg carries everything but the members, which are
+// filled in from the topology (Flat(n) for unracked fleets). specFn
+// builds the workload per call: arrival processes (MMPP2) carry mutable
+// phase state, so concurrently-running fleets must never share one spec
+// value. reuse is the calling sweep worker's graph cache — consecutive
+// points with the same topology shape reset one graph instead of
+// building a new one.
+func measureFleet(reuse *cluster.GraphReuse, opt Options, cfg cluster.Config, specFn func() workload.Spec) cluster.Measurement {
 	members := make([]cluster.MemberConfig, cfg.Topology.Servers())
 	for i := range members {
 		scfg := server.DefaultConfig()
@@ -74,13 +72,18 @@ func measureFleet(reuse *cluster.Reuse, opt Options, cfg cluster.Config, specFn 
 		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
 	}
 	cfg.Members = members
-	fl, err := reuse.Fleet(cfg, specFn(), opt.Seed)
+	g, err := reuse.Graph(cluster.GraphConfig{
+		Tiers: []cluster.TierConfig{{Cluster: cfg, Spec: specFn()}},
+	}, opt.Seed)
 	if err != nil {
 		// All inputs are compile-time constants; an error is a bug.
 		panic(err)
 	}
-	return fl.Measure(opt.Warmup(), opt.Duration)
+	return g.Measure(opt.Warmup(), opt.Duration).Tiers[0].Fleet
 }
+
+// newReuse builds one graph cache per sweep worker (SweepWith's newS).
+func newReuse() *cluster.GraphReuse { return new(cluster.GraphReuse) }
 
 // RackPoint is one measured (topology, policy) operating point.
 type RackPoint struct {
@@ -147,7 +150,7 @@ func RackPacking(opt Options, topos []cluster.Topology) (*RackPackingResult, err
 		TorLatency:   DefaultRackTorLatency,
 		Duration:     opt.Duration,
 	}
-	res.Points = SweepWith(opt, pts, newReuse, func(reuse *cluster.Reuse, p pt) RackPoint {
+	res.Points = SweepWith(opt, pts, newReuse, func(reuse *cluster.GraphReuse, p pt) RackPoint {
 		return RackPoint{
 			Topology:       p.topo.String(),
 			Racks:          p.topo.Racks,

@@ -194,12 +194,18 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 		}
 		switch {
 		case pt.Cluster != nil:
-			if err := pt.validateClusterPoint(kind); err != nil {
+			if err := pt.validateFleetPoint(pt.Cluster, -1, kind); err != nil {
 				return nil, pointErr(err)
 			}
+			// A cluster block is a one-tier graph: the graph path is the
+			// only way a scenario runs a fleet.
+			pt.Tiers = []Tier{{Cluster: *pt.Cluster}}
+			pt.Cluster = nil
 		case len(pt.Tiers) > 0:
-			if err := pt.validateTieredPoint(kind); err != nil {
-				return nil, pointErr(err)
+			for ti := range pt.Tiers {
+				if err := pt.validateFleetPoint(&pt.Tiers[ti].Cluster, ti, kind); err != nil {
+					return nil, pointErr(err)
+				}
 			}
 		default:
 			if pt.Server.TimerTickHz != nil && *pt.Server.TimerTickHz > 0 &&
@@ -211,89 +217,49 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 	}
 
 	res := &Result{Scenario: s, Axis: axis}
-	// Each sweep worker carries one fleet cache and one graph cache:
-	// consecutive points that keep the shape (the common case — the axis
-	// sweeps QPS or a policy knob, or an edge's hit ratio) reset one
-	// fleet/graph instead of rebuilding N machines per point. Reset is
-	// byte-identical to a fresh build, so results stay bit-identical at
-	// any parallelism.
+	// Each sweep worker carries one graph cache: consecutive points that
+	// keep the shape (the common case — the axis sweeps QPS or a policy
+	// knob, or an edge's hit ratio) reset one graph instead of rebuilding
+	// N machines per point. Reset is byte-identical to a fresh build, so
+	// results stay bit-identical at any parallelism.
 	res.Points = experiments.SweepWith(opt, jobs,
-		func() *runScratch { return new(runScratch) },
-		func(scratch *runScratch, j job) Point {
-			switch {
-			case j.sc.Cluster != nil:
-				return runClusterOne(j.sc, j.axis, j.label, opt, &scratch.fleet)
-			case len(j.sc.Tiers) > 0:
-				return runTieredOne(j.sc, j.axis, j.label, opt, &scratch.graph)
-			default:
-				return runOne(j.sc, j.axis, opt)
+		func() *cluster.GraphReuse { return new(cluster.GraphReuse) },
+		func(reuse *cluster.GraphReuse, j job) Point {
+			if len(j.sc.Tiers) > 0 {
+				return runTieredOne(j.sc, j.axis, j.label, opt, reuse)
 			}
+			return runOne(j.sc, j.axis, opt)
 		})
 	return res, nil
 }
 
-// runScratch is one sweep worker's reusable simulation state.
-type runScratch struct {
-	fleet cluster.Reuse
-	graph cluster.GraphReuse
-}
-
-// validateClusterPoint checks the parts of a cluster scenario that only
-// exist once the sweep value is applied: the fleet size, that the racks
-// divide it evenly, that every per-server override targets a server that
-// exists, and that each member's merged configuration is coherent.
-func (s *Scenario) validateClusterPoint(kind soc.ConfigKind) error {
-	n := s.Cluster.Servers
-	if n < 1 {
-		return fmt.Errorf("cluster.servers must be at least 1")
+// validateFleetPoint checks the parts of one fleet-shape block — the
+// cluster block (ti < 0) or tiers[ti] — that only exist once the sweep
+// value is applied: that the racks divide the servers evenly, that every
+// per-server override targets a server that exists, and that each
+// member's merged configuration is coherent. Validate has already
+// guaranteed at least one server.
+func (s *Scenario) validateFleetPoint(c *Cluster, ti int, kind soc.ConfigKind) error {
+	block, noun, srv := "cluster", "fleet", ""
+	if ti >= 0 {
+		block, noun = fmt.Sprintf("tiers[%d]", ti), "tier"
+		srv = block + " "
 	}
-	if r := s.Cluster.Racks; r > 1 && n%r != 0 {
-		return fmt.Errorf("cluster.racks %d does not divide %d servers into equal racks", r, n)
+	n := c.Servers
+	if r := c.Racks; r > 1 && n%r != 0 {
+		return fmt.Errorf("%s.racks %d does not divide %d servers into equal racks", block, r, n)
 	}
-	for _, key := range slices.Sorted(maps.Keys(s.Cluster.ServerOverrides)) {
+	for _, key := range slices.Sorted(maps.Keys(c.ServerOverrides)) {
 		if idx, _ := strconv.Atoi(key); idx >= n {
-			return fmt.Errorf("cluster.server_overrides[%s]: fleet has only %d servers", key, n)
+			return fmt.Errorf("%s.server_overrides[%s]: %s has only %d servers", block, key, noun, n)
 		}
 	}
-	for i, mc := range s.clusterMembers(kind, 0) {
+	for i, mc := range s.memberConfigs(c, kind, 0) {
 		if mc.Server.TimerTickHz > 0 && mc.Server.TickKernelTime <= 0 {
-			return fmt.Errorf("server %d: timer_tick_hz needs tick_kernel_us > 0", i)
+			return fmt.Errorf("%sserver %d: timer_tick_hz needs tick_kernel_us > 0", srv, i)
 		}
 	}
 	return nil
-}
-
-// validateTieredPoint runs the applied-point checks of
-// validateClusterPoint on every tier of a service graph.
-func (s *Scenario) validateTieredPoint(kind soc.ConfigKind) error {
-	for ti := range s.Tiers {
-		t := &s.Tiers[ti]
-		n := t.Servers
-		if n < 1 {
-			return fmt.Errorf("tiers[%d].servers must be at least 1", ti)
-		}
-		if r := t.Racks; r > 1 && n%r != 0 {
-			return fmt.Errorf("tiers[%d].racks %d does not divide %d servers into equal racks", ti, r, n)
-		}
-		for _, key := range slices.Sorted(maps.Keys(t.ServerOverrides)) {
-			if idx, _ := strconv.Atoi(key); idx >= n {
-				return fmt.Errorf("tiers[%d].server_overrides[%s]: tier has only %d servers", ti, key, n)
-			}
-		}
-		for i, mc := range s.memberConfigs(&t.Cluster, kind, 0) {
-			if mc.Server.TimerTickHz > 0 && mc.Server.TickKernelTime <= 0 {
-				return fmt.Errorf("tiers[%d] server %d: timer_tick_hz needs tick_kernel_us > 0", ti, i)
-			}
-		}
-	}
-	return nil
-}
-
-// clusterMembers builds the per-server configurations of an applied
-// cluster point: evaluation defaults, then the scenario-level Server
-// overrides, then that server's entry in cluster.server_overrides.
-func (s *Scenario) clusterMembers(kind soc.ConfigKind, seed uint64) []cluster.MemberConfig {
-	return s.memberConfigs(s.Cluster, kind, seed)
 }
 
 // memberConfigs builds one fleet-shape block's per-server
@@ -313,118 +279,6 @@ func (s *Scenario) memberConfigs(c *Cluster, kind soc.ConfigKind, seed uint64) [
 		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(kind), Server: scfg}
 	}
 	return members
-}
-
-// runClusterOne wires one fully-applied cluster point: N systems and
-// servers on one shared engine behind the balancer, measured through the
-// same warmup/window sequence as runOne. With one server and
-// round_robin, the assembled fleet is event-for-event the runOne wiring,
-// so the resulting Point is bit-identical (TestClusterSingleServerParity
-// locks this).
-func runClusterOne(sc Scenario, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.Reuse) Point {
-	kind, _ := soc.ParseConfigKind(sc.Config)
-	pol, _ := cluster.ParsePolicy(sc.Cluster.Policy)
-
-	// A trace point replays a recorded stream instead of a synthetic
-	// generator: the spec comes from the trace header (so packing caps
-	// and report fields match the recorded workload bit for bit) and the
-	// fleet's source factory binds a Replay over the open file. The file
-	// is opened and closed per point — no descriptor outlives the
-	// measurement, and the per-worker fleet cache stays file-agnostic.
-	var spec workload.Spec
-	var newSource func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source
-	if sc.Workload.Service == "trace" {
-		t := sc.Workload.Trace
-		f, err := os.Open(t.Path)
-		if err != nil {
-			// Unreachable after preflight; see the fleet-error panic below.
-			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-		}
-		defer f.Close()
-		rd, err := replay.NewReader(f)
-		if err != nil {
-			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-		}
-		spec = rd.Header().Spec()
-		rp, err := replay.New(rd, replay.Options{TimeScale: t.TimeScale, Loop: t.Loop})
-		if err != nil {
-			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-		}
-		newSource = func(eng *sim.Engine, _ workload.Spec, _ uint64, sink func(*workload.Request)) workload.Source {
-			if err := rp.Bind(eng, sink); err != nil {
-				panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-			}
-			return rp
-		}
-	} else {
-		spec, _, _ = sc.Workload.spec(sc.Cluster.Servers * soc.DefaultConfig(kind).CoreCount)
-	}
-	// An absent racks field keeps the zero-value topology; an explicit
-	// "racks": 1 goes through the Topology path as Flat(N). Both
-	// assemble the identical event sequence — and therefore identical
-	// output bytes — as the pre-topology cluster layer, which is exactly
-	// what TestRackFlatParity locks by comparing the two.
-	var topo cluster.Topology
-	if r := sc.Cluster.Racks; r >= 1 {
-		topo = cluster.Topology{Racks: r, ServersPerRack: sc.Cluster.Servers / r}
-	}
-	us := func(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
-	fl, err := reuse.Fleet(cluster.Config{
-		Policy:        pol,
-		P99Target:     us(sc.Cluster.P99TargetUS),
-		Topology:      topo,
-		TorLatency:    us(sc.Cluster.TorLatencyUS),
-		DrainHold:     us(sc.Cluster.DrainHoldUS),
-		FeedbackEpoch: us(sc.Cluster.FeedbackEpochUS),
-		Faults:        sc.Cluster.Faults.config(),
-		Members:       sc.clusterMembers(kind, opt.Seed),
-		NewSource:     newSource,
-	}, spec, opt.Seed)
-	if err != nil {
-		// Unreachable after Validate + validateClusterPoint; a panic here
-		// is a missing validation rule, not a user error.
-		panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-	}
-	m := fl.Measure(opt.Warmup(), opt.Duration)
-
-	p := Point{
-		Axis:            axisValue,
-		AxisLabel:       axisLabel,
-		Workload:        spec.Name,
-		OfferedQPS:      spec.MeanQPS(),
-		Served:          m.Served,
-		Generated:       m.Generated,
-		Dropped:         m.Dropped,
-		MeanLatency:     m.MeanLatency,
-		P50Latency:      m.P50Latency,
-		P99Latency:      m.P99Latency,
-		SoCWatts:        m.SoCWatts,
-		DRAMWatts:       m.DRAMWatts,
-		TotalWatts:      m.TotalWatts,
-		CC0Residency:    m.CC0Residency,
-		CC1Residency:    m.CC1Residency,
-		AllIdle:         m.AllIdle,
-		AllIdleCensored: m.AllIdleCensored,
-		PC1AResidency:   m.PC1AResidency,
-		PC1AEntries:     m.PC1AEntries,
-		OK:              m.OK,
-		Failed:          m.Failed,
-		Retried:         m.Retried,
-		Hedged:          m.Hedged,
-		Shed:            m.Shed,
-		Crashes:         m.Crashes,
-		Brownouts:       m.Brownouts,
-		Partitions:      m.Partitions,
-		GoodputQPS:      m.GoodputQPS,
-		RecoveryP50:     m.RecoveryP50,
-		RecoveryP99:     m.RecoveryP99,
-		TruncatedDrain:  m.TruncatedDrain,
-	}
-	if sc.Cluster.Servers > 1 {
-		p.Servers = m.Servers
-	}
-	p.Racks = m.Racks
-	return p
 }
 
 // tierSpec synthesizes the workload spec of a backend tier at the
@@ -452,17 +306,52 @@ func tierSpec(service string, rate float64, cores int) workload.Spec {
 	panic(fmt.Sprintf("tierSpec: unknown service %q", service))
 }
 
-// runTieredOne wires one fully-applied service-graph point: every tier
-// a full fleet on one shared engine, edges carrying misses downstream
-// (see cluster.Graph), measured through the same warmup/window sequence
-// as runClusterOne. A one-tier graph assembles event-for-event the
-// cluster-block wiring, so its Point is bit-identical
-// (TestTiersSingleTierParity locks this).
+// runTieredOne wires one fully-applied service-graph point — a cluster
+// block arrives here as a one-tier graph: every tier a full fleet on one
+// shared engine, edges carrying misses downstream (see cluster.Graph),
+// measured through the same warmup/window sequence as runOne. With one
+// server and round_robin, the one-tier graph is event-for-event the
+// runOne wiring, so the resulting Point is bit-identical
+// (TestClusterSingleServerParity locks this).
 func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.GraphReuse) Point {
 	kind, _ := soc.ParseConfigKind(sc.Config)
 	cores := soc.DefaultConfig(kind).CoreCount
-	rootSpec, _, _ := sc.Workload.spec(sc.Tiers[0].Servers * cores)
 	us := func(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
+
+	// A trace point replays a recorded stream instead of a synthetic
+	// generator: the root spec comes from the trace header (so packing
+	// caps and report fields match the recorded workload bit for bit) and
+	// the root tier's source factory binds a Replay over the open file.
+	// The file is opened and closed per point — no descriptor outlives
+	// the measurement, and the per-worker graph cache stays file-agnostic.
+	var rootSpec workload.Spec
+	var newSource func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source
+	if sc.Workload.Service == "trace" {
+		t := sc.Workload.Trace
+		f, err := os.Open(t.Path)
+		if err != nil {
+			// Unreachable after preflight; see the graph-error panic below.
+			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
+		}
+		defer f.Close()
+		rd, err := replay.NewReader(f)
+		if err != nil {
+			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
+		}
+		rootSpec = rd.Header().Spec()
+		rp, err := replay.New(rd, replay.Options{TimeScale: t.TimeScale, Loop: t.Loop})
+		if err != nil {
+			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
+		}
+		newSource = func(eng *sim.Engine, _ workload.Spec, _ uint64, sink func(*workload.Request)) workload.Source {
+			if err := rp.Bind(eng, sink); err != nil {
+				panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
+			}
+			return rp
+		}
+	} else {
+		rootSpec, _, _ = sc.Workload.spec(sc.Tiers[0].Servers * cores)
+	}
 
 	names := make(map[string]int, len(sc.Tiers))
 	for i := range sc.Tiers {
@@ -493,13 +382,17 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 	for i := range sc.Tiers {
 		t := &sc.Tiers[i]
 		pol, _ := cluster.ParsePolicy(t.Policy)
+		// An absent racks field keeps the zero-value topology; an
+		// explicit "racks": 1 goes through the Topology path as Flat(N).
+		// Both assemble the identical event sequence, which
+		// TestRackFlatParity locks by comparing the two.
 		var topo cluster.Topology
 		if r := t.Racks; r >= 1 {
 			topo = cluster.Topology{Racks: r, ServersPerRack: t.Servers / r}
 		}
-		spec := rootSpec
+		spec, source := rootSpec, newSource
 		if i > 0 {
-			spec = tierSpec(t.Service, rates[i], cores)
+			spec, source = tierSpec(t.Service, rates[i], cores), nil
 		}
 		gcfg.Tiers[i] = cluster.TierConfig{
 			Name: t.Name,
@@ -512,6 +405,7 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 				FeedbackEpoch: us(t.FeedbackEpochUS),
 				Faults:        t.Faults.config(),
 				Members:       sc.memberConfigs(&t.Cluster, kind, opt.Seed),
+				NewSource:     source,
 			},
 			Spec: spec,
 		}
@@ -527,7 +421,7 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 	}
 	g, err := reuse.Graph(gcfg, opt.Seed)
 	if err != nil {
-		// Unreachable after Validate + validateTieredPoint; a panic here
+		// Unreachable after Validate + validateFleetPoint; a panic here
 		// is a missing validation rule, not a user error.
 		panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
 	}
@@ -540,8 +434,8 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 		OfferedQPS: rootSpec.MeanQPS(),
 	}
 	if len(gcfg.Edges) == 0 {
-		// One-tier graph: the parity contract — this Point must be
-		// byte-identical to runClusterOne's for the same block.
+		// One-tier graph (a cluster block or a one-entry tiers block):
+		// the fleet's own aggregates are the point.
 		m := &gm.Tiers[0].Fleet
 		p.Served = m.Served
 		p.Generated = m.Generated

@@ -257,28 +257,31 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 	for i := range members {
 		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: server.DefaultConfig()}
 	}
-	fl, err := cluster.New(cluster.Config{
-		Policy:    cluster.PowerAware,
-		P99Target: 300 * sim.Microsecond,
-		Members:   members,
-		NewSource: func(eng *sim.Engine, _ workload.Spec, _ uint64, sink func(*workload.Request)) workload.Source {
-			if err := rp.Bind(eng, sink); err != nil {
-				t.Fatal(err)
-			}
-			return rp
+	g, err := cluster.NewGraph(cluster.GraphConfig{Tiers: []cluster.TierConfig{{
+		Cluster: cluster.Config{
+			Policy:    cluster.PowerAware,
+			P99Target: 300 * sim.Microsecond,
+			Members:   members,
+			NewSource: func(eng *sim.Engine, _ workload.Spec, _ uint64, sink func(*workload.Request)) workload.Source {
+				if err := rp.Bind(eng, sink); err != nil {
+					t.Fatal(err)
+				}
+				return rp
+			},
 		},
-	}, rd.Header().Spec(), 1)
+		Spec: rd.Header().Spec(),
+	}}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl.Run(5 * sim.Millisecond) // prime pools, arena, bufio window, free list
+	g.Run(5 * sim.Millisecond) // prime pools, arena, bufio window, free list
 	allocs := testing.AllocsPerRun(3, func() {
-		fl.Run(sim.Millisecond)
+		g.Run(sim.Millisecond)
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state replay Run allocates %.1f times per ms window, want 0", allocs)
 	}
-	if fl.Generated() == 0 {
+	if rp.Generated() == 0 {
 		t.Fatal("replay fleet generated nothing")
 	}
 }

@@ -7,7 +7,7 @@
 #                  (benchstat old.txt bench.txt)
 #   snapshot.json  parsed {name, ns_op, b_op, allocs_op} records; the
 #                  second argument names the file (default
-#                  BENCH_pr12.json, this PR's perf-trajectory snapshot —
+#                  BENCH_pr13.json, this PR's perf-trajectory snapshot —
 #                  earlier PRs' snapshots stay committed as
 #                  BENCH_pr<N>.json; bump the default each PR so `make
 #                  bench` never clobbers a previous PR's snapshot)
@@ -16,22 +16,40 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-all}"
 OUT=bench.txt
-SNAP="${2:-BENCH_pr12.json}"
+SNAP="${2:-BENCH_pr13.json}"
+
+# Every benchmark runs a fixed iteration count (-benchtime Nx), not a
+# time budget. A benchmark whose allocations are not spread evenly over
+# its iterations (pool growth, histogram buckets) reports an allocs/op
+# that depends on how many iterations fit the budget, and so on host
+# speed; at a fixed count allocs/op is a function of the code alone,
+# which is what lets benchgate.sh compare it exactly. The engine
+# micro-benchmarks run in ns, the artifact and fleet benchmarks in
+# ms, hence two counts.
+#
+# The suite also runs on one P (-cpu 1). With several Ps the runtime
+# allocates a fresh goroutine whenever the creating P's free list is
+# empty, which depends on where earlier goroutines exited, so
+# allocs/op wobbles by one from run to run even on serial benchmarks.
+# On one P the *Parallel benchmarks price the worker pool's overhead,
+# not its speedup; measure that with `go test -bench Parallel -cpu N`.
+SIM_N=10000000x
+ROOT_N=100x
 
 case "$MODE" in
-sim)
-	PKGS=./internal/sim/
-	;;
-all)
-	PKGS="./internal/sim/ ."
-	;;
+sim | all) ;;
 *)
 	echo "usage: $0 [sim|all] [snapshot.json]" >&2
 	exit 2
 	;;
 esac
 
-go test -run=XXX -bench=. -benchmem -benchtime=1s $PKGS | tee "$OUT"
+{
+	go test -run=XXX -bench=. -benchmem -cpu=1 -benchtime=$SIM_N ./internal/sim/
+	if [ "$MODE" = all ]; then
+		go test -run=XXX -bench=. -benchmem -cpu=1 -benchtime=$ROOT_N .
+	fi
+} | tee "$OUT"
 
 # Parse "BenchmarkName  N  ns/op  B/op  allocs/op [metrics...]" lines
 # into a JSON array.

@@ -5,8 +5,9 @@
 # the committed per-PR baseline and:
 #
 #   - FAILS (exit 1) if any benchmark's allocs/op rose above the
-#     baseline. Allocation counts are deterministic — unlike ns/op they
-#     do not wobble with machine load — so any increase is a genuine
+#     baseline. At bench.sh's fixed iteration counts on one P,
+#     allocation counts are deterministic — unlike ns/op they do not
+#     wobble with machine load — so any increase is a genuine
 #     hot-path regression (a pooled object escaping, a slice rebuilt per
 #     point) and the gate can be exact.
 #   - WARNS on ns/op drift beyond ±30%. Time is machine-dependent
@@ -20,12 +21,12 @@
 # With no first argument the suite is run first (scripts/bench.sh all)
 # into bench-gate.json. The baseline defaults to this PR's committed
 # snapshot; after a deliberate perf change, regenerate it with
-# `scripts/bench.sh all BENCH_pr12.json` and commit the diff.
+# `scripts/bench.sh all BENCH_pr13.json` and commit the diff.
 set -e
 cd "$(dirname "$0")/.."
 
 NEW="${1:-}"
-BASE="${2:-BENCH_pr12.json}"
+BASE="${2:-BENCH_pr13.json}"
 
 if [ -z "$NEW" ]; then
 	NEW=bench-gate.json
