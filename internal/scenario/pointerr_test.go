@@ -7,7 +7,9 @@ import "testing"
 // and for a tiers[0] block alike: the checks that only exist once a
 // sweep value is applied (fleet size, rack divisibility, override
 // indices, each member's merged timer-tick settings) must keep naming
-// the block the user wrote.
+// the block the user wrote. A single-machine point names no block and
+// no server: it runs as a one-server graph, but the user wrote no
+// fleet.
 func TestPointValidationErrors(t *testing.T) {
 	fleet := func(mut func(*Cluster)) Cluster {
 		c := Cluster{Servers: 4, Policy: "round_robin"}
@@ -40,6 +42,18 @@ func TestPointValidationErrors(t *testing.T) {
 		c.ServerOverrides = map[string]Overrides{"2": {TimerTickHz: ptr(250.0)}}
 	})
 	zero := fleet(func(c *Cluster) { c.Servers = 0 })
+	single := Scenario{
+		Name:     "pointerr",
+		Config:   "CPC1A",
+		Workload: Workload{Service: "memcached", QPS: 40000},
+		Server:   Overrides{TimerTickHz: ptr(250.0)},
+	}
+	sysbench := Scenario{
+		Name:     "pointerr",
+		Config:   "CPC1A",
+		Workload: Workload{Service: "sysbench", Threads: 4, ThinkMS: 1},
+		Sweep:    &Sweep{Axis: AxisThreads, Values: []float64{4, 0}},
+	}
 
 	cases := []struct {
 		name string
@@ -62,6 +76,10 @@ func TestPointValidationErrors(t *testing.T) {
 			`scenario "pointerr": server 2: timer_tick_hz needs tick_kernel_us > 0`},
 		{"tiers[0] tick without kernel time", tiered(tickless),
 			`scenario "pointerr": tiers[0] server 2: timer_tick_hz needs tick_kernel_us > 0`},
+		{"single machine tick without kernel time", single,
+			`scenario "pointerr": timer_tick_hz needs tick_kernel_us > 0`},
+		{"sysbench threads swept to 0", sysbench,
+			`scenario "pointerr" [threads=0]: sysbench: needs threads > 0`},
 	}
 	for _, c := range cases {
 		_, err := c.sc.Run(quickOpt())
