@@ -22,9 +22,12 @@ func main() {
 	for _, threads := range []int{4, 16, 64} {
 		sys := soc.New(soc.DefaultConfig(soc.CPC1A))
 		srv := server.NewClosedLoop(sys, server.DefaultConfig())
-		cl := workload.SysbenchOLTP(sys.Engine, threads, 2e-3, 1, srv.Submit)
+		var cl *workload.ClosedLoopClient
+		cl = workload.SysbenchOLTP(sys.Engine, threads, 2e-3, 1, func(r *workload.Request) {
+			srv.Submit(r, func() { cl.Release(r) })
+		})
 
-		cl.Start()
+		cl.Start(window)
 		snap := sys.Meter.Snapshot()
 		srv.Run(window)
 		cl.Stop()

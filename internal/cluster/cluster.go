@@ -298,7 +298,6 @@ type Fleet struct {
 	eng  *sim.Engine
 	cfg  Config
 	topo Topology
-	spec workload.Spec
 	gen  workload.Source
 
 	members []*member
@@ -409,7 +408,7 @@ func validateConfig(cfg Config, spec workload.Spec) error {
 	default:
 		return fmt.Errorf("cluster: unknown policy %v", cfg.Policy)
 	}
-	if spec.Arrivals == nil {
+	if spec.Arrivals == nil && cfg.NewSource == nil {
 		return fmt.Errorf("cluster: open-loop workload required (spec has no arrival process)")
 	}
 	topo := cfg.topology()
@@ -443,7 +442,7 @@ func validateConfig(cfg Config, spec workload.Spec) error {
 // arena makes cheap.
 func (f *Fleet) build(cfg Config, spec workload.Spec, seed uint64) {
 	topo := cfg.topology()
-	f.cfg, f.topo, f.spec = cfg, topo, spec
+	f.cfg, f.topo = cfg, topo
 	fresh := f.members == nil
 	if fresh {
 		f.byRack = make([][]*member, topo.Racks)

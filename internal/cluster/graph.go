@@ -41,6 +41,7 @@ import (
 
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
+	"agilepkgc/internal/soc"
 	"agilepkgc/internal/stats"
 	"agilepkgc/internal/workload"
 )
@@ -533,19 +534,26 @@ func (g *Graph) inFlight() int {
 // Run generates root-tier load for d of virtual time, then drains every
 // tier until every in-flight request completes, up to server.DrainCap
 // of extra virtual time — the same window/drain sequence as
-// server.(*Server).Run, which the 1-server parity contract
-// (TestClusterSingleServerParity) depends on. Non-root sources have no
+// server.(*Server).Run, which the 1×1 parity contract
+// (TestScenarioMatchesHandWiredRun) depends on. Non-root sources have no
 // arrival chain to start, so on one-tier graphs the Start loop is the
 // root source's single Start. Misses discovered during the drain still
 // emit their backend requests: the drain loop keeps going until every
 // tier is empty or the cap trips. Requests still in flight when the cap
-// trips are snapshotted into the per-member dropped counters.
+// trips are snapshotted into the per-member dropped counters. A graph
+// whose root source is a workload.ClosedLoopClient only advances time —
+// the rule server.(*Server).Run applies to closed-loop servers: threads
+// issue until the caller stops them, so it neither drains nor counts
+// drops.
 func (g *Graph) Run(d sim.Duration) {
 	stop := g.eng.Now() + d
 	for _, t := range g.tiers {
 		t.fl.gen.Start(stop)
 	}
 	g.eng.Run(stop)
+	if _, closed := g.tiers[0].fl.gen.(*workload.ClosedLoopClient); closed {
+		return // threads issue until stopped: nothing to drain
+	}
 	deadline := g.eng.Now() + server.DrainCap
 	for g.inFlight() > 0 && g.eng.Now() < deadline {
 		g.eng.Run(g.eng.Now() + sim.Millisecond)
@@ -567,6 +575,14 @@ func (g *Graph) Run(d sim.Duration) {
 			}
 		}
 	}
+}
+
+// Member returns server i of the given tier: its system and its
+// server, for callers that read device state (tracers, the power meter,
+// APMU counters) or inject traffic the balancer does not route.
+func (g *Graph) Member(tier, i int) (*soc.System, *server.Server) {
+	m := g.tiers[tier].fl.members[i]
+	return m.sys, m.srv
 }
 
 // TierMeasurement is one tier's outcome: its name plus the full fleet

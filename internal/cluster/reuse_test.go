@@ -238,3 +238,67 @@ func TestRouteSteadyStateAllocsTiered(t *testing.T) {
 		t.Errorf("two-tier graph: steady-state Run allocates %.1f times per ms window, want 0", allocs)
 	}
 }
+
+// TestPointGraphSteadyStateAllocs extends the zero-alloc contract to
+// the 1×1 graph every single-machine scenario and experiment point runs
+// on — one server behind round_robin — for both root-source families:
+// the open-loop generator (memcached) and the closed-loop client
+// (sysbench), whose think/issue cycle reuses each thread's issue
+// closure and hands every request back to the client's pool.
+func TestPointGraphSteadyStateAllocs(t *testing.T) {
+	cfg := Config{Policy: RoundRobin, Members: uniformMembers(1, soc.CPC1A)}
+	sysbench := cfg
+	sysbench.NewSource = func(eng *sim.Engine, _ workload.Spec, seed uint64, sink func(*workload.Request)) workload.Source {
+		return workload.SysbenchOLTP(eng, 16, 1e-3, seed, sink)
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		spec workload.Spec
+	}{
+		{"memcached", cfg, workload.Memcached(50000)},
+		{"sysbench", sysbench, workload.Spec{Name: "sysbench-16thr"}},
+	}
+	for _, c := range cases {
+		g, err := NewGraph(oneTier(c.cfg, c.spec), 7)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		g.Run(5 * sim.Millisecond) // prime pools, arena, histograms
+		allocs := testing.AllocsPerRun(3, func() {
+			g.Run(sim.Millisecond)
+		})
+		if allocs > 0 {
+			t.Errorf("%s: steady-state Run allocates %.1f times per ms window, want 0", c.name, allocs)
+		}
+		if _, srv := g.Member(0, 0); srv.Served() == 0 {
+			t.Errorf("%s: served nothing", c.name)
+		}
+	}
+}
+
+// TestClosedLoopGraphRunAdvancesExactly pins the closed-loop rule of
+// Graph.Run, the one server.(*Server).Run applies to closed-loop
+// servers: threads issue continuously, so Run advances exactly the
+// requested window, with no drain and no drop accounting.
+func TestClosedLoopGraphRunAdvancesExactly(t *testing.T) {
+	cfg := Config{Policy: RoundRobin, Members: uniformMembers(1, soc.CPC1A)}
+	cfg.NewSource = func(eng *sim.Engine, _ workload.Spec, seed uint64, sink func(*workload.Request)) workload.Source {
+		return workload.SysbenchOLTP(eng, 8, 1e-3, seed, sink)
+	}
+	g, err := NewGraph(oneTier(cfg, workload.Spec{Name: "sysbench-8thr"}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := g.Measure(3*sim.Millisecond, 30*sim.Millisecond)
+	if got := g.eng.Now(); got != 33*sim.Millisecond {
+		t.Fatalf("closed-loop graph ran to %v, want exactly 33ms", got)
+	}
+	f := m.Tiers[0].Fleet
+	if f.Served == 0 || f.Generated < f.Served {
+		t.Fatalf("served %d of %d generated", f.Served, f.Generated)
+	}
+	if f.Dropped != 0 || f.TruncatedDrain != 0 {
+		t.Fatalf("closed-loop graph counted drops: dropped %d, truncated %d", f.Dropped, f.TruncatedDrain)
+	}
+}

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"strings"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/power"
@@ -95,7 +96,8 @@ type loadedRun struct {
 // measured window begins in steady state (menu governors seeded,
 // frequency policies settled, queues primed): a tenth of the
 // measurement window, capped at 50 ms. The scenario layer shares this
-// formula — its bit-for-bit parity with runPoint depends on it.
+// formula — a scenario point reproduces runPoint's numbers bit for bit
+// because both run the same 1×1 graph through the same windows.
 func (o Options) Warmup() sim.Duration {
 	warm := o.Duration / 10
 	if warm > 50*sim.Millisecond {
@@ -104,17 +106,16 @@ func (o Options) Warmup() sim.Duration {
 	return warm
 }
 
+// runPoint runs one (config, workload) point with a tracer attached
+// over the measured window.
 func runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options) *loadedRun {
-	sys := soc.New(soc.DefaultConfig(kind))
-	scfg := server.DefaultConfig()
-	scfg.Seed = opt.Seed
-	srv := server.New(sys, scfg, spec)
+	g, sys, srv := pointGraph(soc.DefaultConfig(kind), server.DefaultConfig(), spec, opt)
 
-	srv.Run(opt.Warmup())
+	g.Run(opt.Warmup())
 
 	tr := trace.New(sys.Engine, sys.Cores)
 	snap := sys.Meter.Snapshot()
-	srv.Run(opt.Duration)
+	g.Run(opt.Duration)
 	tr.Finalize()
 
 	return &loadedRun{
@@ -127,12 +128,20 @@ func runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options) *loadedRun {
 	}
 }
 
-// newServerForConfig builds a server on an already-assembled system with
-// the experiment's seed.
-func newServerForConfig(sys *soc.System, opt Options, spec workload.Spec) *server.Server {
-	scfg := server.DefaultConfig()
-	scfg.Seed = opt.Seed
-	return server.New(sys, scfg, spec)
+// pointGraph builds the 1×1 graph — one server behind a round_robin
+// balancer — every single-machine experiment point runs on, seeded with
+// opt.Seed, and returns it with its one machine.
+func pointGraph(sc soc.Config, scfg server.Config, spec workload.Spec, opt Options) (*cluster.Graph, *soc.System, *server.Server) {
+	members := []cluster.MemberConfig{{SoC: sc, Server: scfg}}
+	g, err := cluster.NewGraph(cluster.GraphConfig{Tiers: []cluster.TierConfig{{
+		Cluster: cluster.Config{Policy: cluster.RoundRobin, Members: members}, Spec: spec,
+	}}}, opt.Seed)
+	if err != nil {
+		// All inputs are compile-time constants; an error is a bug.
+		panic(err)
+	}
+	sys, srv := g.Member(0, 0)
+	return g, sys, srv
 }
 
 // table builds a simple aligned text table.

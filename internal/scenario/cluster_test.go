@@ -27,6 +27,8 @@ func runArtifacts(t *testing.T, sc Scenario, opt experiments.Options) (report, c
 // 1-server round_robin fleet must produce byte-identical report and CSV
 // output to the equivalent single-server scenario — same name, same
 // workload, same config, the only difference being the cluster block.
+// Both now run as a 1×1 graph, so this pins the rendering: a 1-server
+// cluster block must not annotate the report as a fleet.
 func TestClusterSingleServerParity(t *testing.T) {
 	single := Scenario{
 		Name:     "parity",

@@ -10,14 +10,10 @@ import (
 	"strings"
 
 	"agilepkgc/internal/cluster"
-	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/experiments"
-	"agilepkgc/internal/pmu"
-	"agilepkgc/internal/power"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
-	"agilepkgc/internal/trace"
 	"agilepkgc/internal/workload"
 	"agilepkgc/internal/workload/replay"
 )
@@ -208,10 +204,14 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 				}
 			}
 		default:
+			// Checked here rather than by validateFleetPoint, whose text
+			// names a server: the user wrote no fleet.
 			if pt.Server.TimerTickHz != nil && *pt.Server.TimerTickHz > 0 &&
 				(pt.Server.TickKernelUS == nil || *pt.Server.TickKernelUS <= 0) {
 				return nil, pointErr(fmt.Errorf("timer_tick_hz needs tick_kernel_us > 0"))
 			}
+			// A single machine is a 1×1 graph: one tier, one server.
+			pt.Tiers = []Tier{{Cluster: Cluster{Servers: 1, Policy: "round_robin"}}}
 		}
 		jobs[i] = job{axis: v, label: label, sc: pt}
 	}
@@ -225,10 +225,7 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 	res.Points = experiments.SweepWith(opt, jobs,
 		func() *cluster.GraphReuse { return new(cluster.GraphReuse) },
 		func(reuse *cluster.GraphReuse, j job) Point {
-			if len(j.sc.Tiers) > 0 {
-				return runTieredOne(j.sc, j.axis, j.label, opt, reuse)
-			}
-			return runOne(j.sc, j.axis, opt)
+			return runTieredOne(j.sc, j.axis, j.label, opt, reuse)
 		})
 	return res, nil
 }
@@ -307,12 +304,12 @@ func tierSpec(service string, rate float64, cores int) workload.Spec {
 }
 
 // runTieredOne wires one fully-applied service-graph point — a cluster
-// block arrives here as a one-tier graph: every tier a full fleet on one
-// shared engine, edges carrying misses downstream (see cluster.Graph),
-// measured through the same warmup/window sequence as runOne. With one
-// server and round_robin, the one-tier graph is event-for-event the
-// runOne wiring, so the resulting Point is bit-identical
-// (TestClusterSingleServerParity locks this).
+// block arrives here as a one-tier graph, a single machine as a 1×1
+// graph: every tier a full fleet on one shared engine, edges carrying
+// misses downstream (see cluster.Graph), measured through the
+// experiments' warmup/window sequence. A 1×1 graph is event-for-event
+// the server.Run library path, so its Point is bit-identical to a
+// hand-wired server's (TestScenarioMatchesHandWiredRun locks this).
 func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.GraphReuse) Point {
 	kind, _ := soc.ParseConfigKind(sc.Config)
 	cores := soc.DefaultConfig(kind).CoreCount
@@ -326,7 +323,8 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 	// the measurement, and the per-worker graph cache stays file-agnostic.
 	var rootSpec workload.Spec
 	var newSource func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source
-	if sc.Workload.Service == "trace" {
+	switch sc.Workload.Service {
+	case "trace":
 		t := sc.Workload.Trace
 		f, err := os.Open(t.Path)
 		if err != nil {
@@ -349,8 +347,20 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 			}
 			return rp
 		}
-	} else {
+	case "sysbench":
+		// A closed-loop thread population drives the root tier; the spec
+		// only names the stream, which offers no open-loop rate.
+		w := sc.Workload
+		rootSpec.Name = fmt.Sprintf("sysbench-%dthr", w.Threads)
+		newSource = func(eng *sim.Engine, _ workload.Spec, seed uint64, sink func(*workload.Request)) workload.Source {
+			return workload.SysbenchOLTP(eng, w.Threads, w.ThinkMS*1e-3, seed, sink)
+		}
+	default:
 		rootSpec, _, _ = sc.Workload.spec(sc.Tiers[0].Servers * cores)
+	}
+	var offered float64
+	if rootSpec.Arrivals != nil {
+		offered = rootSpec.MeanQPS()
 	}
 
 	names := make(map[string]int, len(sc.Tiers))
@@ -361,7 +371,7 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 	// edge's miss probability and fan-out — size the backend specs. The
 	// graph is a DAG, so |tiers| relaxation rounds reach the fixpoint.
 	rates := make([]float64, len(sc.Tiers))
-	rates[0] = rootSpec.MeanQPS()
+	rates[0] = offered
 	for range sc.Tiers {
 		next := make([]float64, len(rates))
 		next[0] = rates[0]
@@ -431,7 +441,7 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 		Axis:       axisValue,
 		AxisLabel:  axisLabel,
 		Workload:   rootSpec.Name,
-		OfferedQPS: rootSpec.MeanQPS(),
+		OfferedQPS: offered,
 	}
 	if len(gcfg.Edges) == 0 {
 		// One-tier graph (a cluster block or a one-entry tiers block):
@@ -533,84 +543,6 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 	p.Tiers = gm.Tiers
 	p.Edges = gm.Edges
 	p.Client = gm.Client
-	return p
-}
-
-// runOne wires one fully-applied scenario point onto a fresh system —
-// the same assembly, warmup and measurement-window sequence the built-in
-// experiments use, so an unswept scenario with no overrides reproduces
-// their numbers bit for bit.
-func runOne(sc Scenario, axisValue float64, opt experiments.Options) Point {
-	kind, _ := soc.ParseConfigKind(sc.Config)
-	sys := soc.New(soc.DefaultConfig(kind))
-	scfg := server.DefaultConfig()
-	scfg.Seed = opt.Seed
-	sc.Server.apply(&scfg)
-
-	spec, open, _ := sc.Workload.spec(soc.DefaultConfig(kind).CoreCount)
-	var srv *server.Server
-	var cl *workload.ClosedLoopClient
-	if open {
-		srv = server.New(sys, scfg, spec)
-	} else {
-		srv = server.NewClosedLoop(sys, scfg)
-		cl = workload.SysbenchOLTP(sys.Engine, sc.Workload.Threads,
-			sc.Workload.ThinkMS*1e-3, opt.Seed, srv.Submit)
-		cl.Start()
-	}
-
-	// Warmup so the measured window starts in steady state — the same
-	// formula as the built-in experiments (Options.Warmup), which the
-	// bit-for-bit parity contract depends on.
-	srv.Run(opt.Warmup())
-
-	tr := trace.New(sys.Engine, sys.Cores)
-	snap := sys.Meter.Snapshot()
-	t0 := sys.Engine.Now()
-	var res0 sim.Duration
-	var ent0 uint64
-	if sys.APMU != nil {
-		res0 = sys.APMU.Residency(pmu.PC1A)
-		ent0 = sys.APMU.Entries(pmu.PC1A)
-	}
-	srv.Run(opt.Duration)
-	tr.Finalize()
-	if cl != nil {
-		cl.Stop()
-	}
-
-	p := Point{
-		Axis:            axisValue,
-		Served:          srv.Served(),
-		Generated:       srv.Generated(),
-		Dropped:         srv.Dropped(),
-		MeanLatency:     srv.Latencies().Mean(),
-		P50Latency:      srv.Latencies().Quantile(0.50),
-		P99Latency:      srv.Latencies().Quantile(0.99),
-		SoCWatts:        snap.AveragePower(power.Package),
-		DRAMWatts:       snap.AveragePower(power.DRAM),
-		TotalWatts:      snap.AverageTotal(),
-		CC0Residency:    tr.MeanResidency(cpu.CC0),
-		CC1Residency:    tr.MeanResidency(cpu.CC1),
-		AllIdle:         tr.AllIdleFraction(),
-		AllIdleCensored: tr.CensoredAllIdleFraction(),
-		TruncatedDrain:  srv.TruncatedDrain(),
-	}
-	if open {
-		p.Workload = spec.Name
-		p.OfferedQPS = spec.MeanQPS()
-	} else {
-		p.Workload = fmt.Sprintf("sysbench-%dthr", sc.Workload.Threads)
-		p.Generated = cl.Issued()
-	}
-	if sys.APMU != nil {
-		residency := 0.0
-		if window := sys.Engine.Now() - t0; window > 0 {
-			residency = float64(sys.APMU.Residency(pmu.PC1A)-res0) / float64(window)
-		}
-		entries := sys.APMU.Entries(pmu.PC1A) - ent0
-		p.PC1AResidency, p.PC1AEntries = &residency, &entries
-	}
 	return p
 }
 

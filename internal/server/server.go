@@ -67,11 +67,10 @@ type Server struct {
 	dropped   uint64
 	truncated uint64
 
-	batch        []func()
-	batchSpare   []func()
-	batchArmed   bool
-	batchFlushes uint64
-	batchFn      func()
+	batch      []func()
+	batchSpare []func()
+	batchArmed bool
+	batchFn    func()
 
 	// freeList recycles inflight records so steady-state serving does
 	// not allocate per request.
@@ -157,12 +156,16 @@ func New(sys *soc.System, cfg Config, spec workload.Spec) *Server {
 
 // NewClosedLoop creates a server driven by a closed-loop client instead
 // of an open-loop generator. The caller builds the client around the
-// returned server's Submit method:
+// returned server's Submit method, handing each request back to the
+// client when its response leaves the NIC:
 //
 //	srv := server.NewClosedLoop(sys, cfg)
-//	cl := workload.SysbenchOLTP(sys.Engine, 16, 1e-3, 1, srv.Submit)
-//	cl.Start()
-//	sys.Engine.Run(...)
+//	var cl *workload.ClosedLoopClient
+//	cl = workload.SysbenchOLTP(sys.Engine, 16, 1e-3, 1, func(r *workload.Request) {
+//		srv.Submit(r, func() { cl.Release(r) })
+//	})
+//	cl.Start(0)
+//	srv.Run(...)
 func NewClosedLoop(sys *soc.System, cfg Config) *Server {
 	s := &Server{
 		sys: sys,
@@ -313,7 +316,6 @@ func (s *Server) dispatch(fn func()) {
 	if s.batchFn == nil {
 		s.batchFn = func() {
 			s.batchArmed = false
-			s.batchFlushes++
 			// Swap buffers rather than discarding: a dispatch during the
 			// flush must land in a fresh batch, but the drained buffer can
 			// be recycled for it.
@@ -328,9 +330,6 @@ func (s *Server) dispatch(fn func()) {
 	}
 	eng.At(next, s.batchFn)
 }
-
-// BatchFlushes returns how many epoch releases occurred.
-func (s *Server) BatchFlushes() uint64 { return s.batchFlushes }
 
 // execute runs the request on its pinned core and sends the response.
 func (s *Server) execute(r *inflight) {

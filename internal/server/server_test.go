@@ -146,8 +146,11 @@ func TestHighLoadSaturation(t *testing.T) {
 func TestClosedLoopServer(t *testing.T) {
 	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
 	srv := NewClosedLoop(sys, DefaultConfig())
-	cl := workload.SysbenchOLTP(sys.Engine, 16, 1e-3, 1, srv.Submit)
-	cl.Start()
+	var cl *workload.ClosedLoopClient
+	cl = workload.SysbenchOLTP(sys.Engine, 16, 1e-3, 1, func(r *workload.Request) {
+		srv.Submit(r, func() { cl.Release(r) })
+	})
+	cl.Start(0)
 	srv.Run(100 * sim.Millisecond)
 	cl.Stop()
 	srv.Run(10 * sim.Millisecond)
@@ -290,8 +293,11 @@ func TestTruncatedDrainZeroOnCleanRuns(t *testing.T) {
 func TestClosedLoopRunAdvancesExactly(t *testing.T) {
 	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
 	srv := NewClosedLoop(sys, DefaultConfig())
-	cl := workload.SysbenchOLTP(sys.Engine, 8, 1e-3, 1, srv.Submit)
-	cl.Start()
+	var cl *workload.ClosedLoopClient
+	cl = workload.SysbenchOLTP(sys.Engine, 8, 1e-3, 1, func(r *workload.Request) {
+		srv.Submit(r, func() { cl.Release(r) })
+	})
+	cl.Start(0)
 	srv.Run(30 * sim.Millisecond)
 	if got := sys.Engine.Now(); got != 30*sim.Millisecond {
 		t.Fatalf("closed-loop Run advanced to %v, want exactly 30ms", got)

@@ -14,8 +14,10 @@ import (
 // load self-throttles under server slowdown — the behaviour that
 // distinguishes benchmark harnesses from production traffic.
 //
-// The server side signals completion by calling the Done function passed
-// with each request.
+// ClosedLoopClient is a Source: thread i issues its requests on
+// connection i, and the sink's owner signals each response by handing
+// the request back through Release, which is what sends the thread on
+// req.Conn into its think time.
 type ClosedLoopClient struct {
 	eng     *sim.Engine
 	rng     *stats.RNG
@@ -24,18 +26,23 @@ type ClosedLoopClient struct {
 	threads int
 	memAcc  int
 
-	sink func(*Request, func())
+	sink func(*Request)
 
 	nextID    uint64
 	completed uint64
 	stopped   bool
+
+	// issueFns holds each thread's issue closure, created once by the
+	// first Start so the steady-state think/issue cycle schedules
+	// without allocating; nil until the threads are launched.
+	issueFns []func()
+	free     []*Request // handed back via Release, reused by later issues
 }
 
-// NewClosedLoopClient builds a client with the given thread count. sink
-// receives each request plus a completion callback the server must call
-// when the response is sent.
+// NewClosedLoopClient builds a client with the given thread count; sink
+// receives each request at its issue instant.
 func NewClosedLoopClient(eng *sim.Engine, threads int, service, think stats.Dist,
-	memAccesses int, seed uint64, sink func(*Request, func())) *ClosedLoopClient {
+	memAccesses int, seed uint64, sink func(*Request)) *ClosedLoopClient {
 	if sink == nil {
 		panic("workload: nil sink")
 	}
@@ -53,11 +60,19 @@ func NewClosedLoopClient(eng *sim.Engine, threads int, service, think stats.Dist
 	}
 }
 
-// Start launches every thread with an initial desynchronizing think.
-func (c *ClosedLoopClient) Start() {
-	for i := 0; i < c.threads; i++ {
+// Start launches every thread with an initial desynchronizing think on
+// its first call and does nothing on later calls: a thread population
+// has no arrival chain to restart, and it keeps issuing past until —
+// closed-loop load ends only at Stop.
+func (c *ClosedLoopClient) Start(until sim.Time) {
+	if c.issueFns != nil {
+		return
+	}
+	c.issueFns = make([]func(), c.threads)
+	for i := range c.issueFns {
 		conn := i
-		c.eng.Schedule(c.sampleThink(), func() { c.issue(conn) })
+		c.issueFns[i] = func() { c.issue(conn) }
+		c.eng.Schedule(c.sampleThink(), c.issueFns[i])
 	}
 }
 
@@ -68,9 +83,27 @@ func (c *ClosedLoopClient) Stop() { c.stopped = true }
 // Completed returns the number of finished requests.
 func (c *ClosedLoopClient) Completed() uint64 { return c.completed }
 
-// Issued returns the number of issued requests.
-func (c *ClosedLoopClient) Issued() uint64 { return c.nextID }
+// Generated returns the number of issued requests.
+func (c *ClosedLoopClient) Generated() uint64 { return c.nextID }
 
+// Release is the completion signal: the response to req has reached
+// its thread, which thinks and then issues again (unless stopped). The
+// request goes back to the client's pool for reuse by a later issue, so
+// the caller must not touch it afterwards.
+//
+//apcvet:poolput
+//apcvet:noalloc
+func (c *ClosedLoopClient) Release(req *Request) {
+	conn := req.Conn
+	c.free = append(c.free, req)
+	c.completed++
+	if c.stopped {
+		return
+	}
+	c.eng.Schedule(c.sampleThink(), c.issueFns[conn])
+}
+
+//apcvet:noalloc
 func (c *ClosedLoopClient) sampleThink() sim.Duration {
 	d := sim.Duration(c.think.Sample(c.rng) * float64(sim.Second))
 	if d < 0 {
@@ -79,11 +112,19 @@ func (c *ClosedLoopClient) sampleThink() sim.Duration {
 	return d
 }
 
+//apcvet:noalloc
 func (c *ClosedLoopClient) issue(conn int) {
 	if c.stopped {
 		return
 	}
-	req := &Request{
+	var req *Request
+	if n := len(c.free); n > 0 {
+		req = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		req = new(Request) //apcvet:alloc pool miss: warm-up until every thread's request is pooled
+	}
+	*req = Request{
 		ID:          c.nextID,
 		Arrival:     c.eng.Now(),
 		Service:     sim.Duration(c.service.Sample(c.rng) * float64(sim.Second)),
@@ -91,13 +132,7 @@ func (c *ClosedLoopClient) issue(conn int) {
 		MemAccesses: c.memAcc,
 	}
 	c.nextID++
-	c.sink(req, func() {
-		c.completed++
-		if c.stopped {
-			return
-		}
-		c.eng.Schedule(c.sampleThink(), func() { c.issue(conn) })
-	})
+	c.sink(req)
 }
 
 // String describes the client.
@@ -110,7 +145,7 @@ func (c *ClosedLoopClient) String() string {
 // paper's sysbench setup: `threads` synchronous connections running the
 // OLTP mix with a think time that sets the offered load.
 func SysbenchOLTP(eng *sim.Engine, threads int, thinkMean float64, seed uint64,
-	sink func(*Request, func())) *ClosedLoopClient {
+	sink func(*Request)) *ClosedLoopClient {
 	service := stats.Mixture{
 		Components: []stats.Dist{
 			stats.LogNormal{MeanV: 60e-6, Sigma: 0.5},

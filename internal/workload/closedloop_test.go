@@ -9,25 +9,24 @@ import (
 
 func TestClosedLoopBasics(t *testing.T) {
 	eng := sim.NewEngine()
-	var completions int
-	cl := NewClosedLoopClient(eng, 4,
+	var cl *ClosedLoopClient
+	cl = NewClosedLoopClient(eng, 4,
 		stats.Deterministic{V: 10e-6}, stats.Deterministic{V: 90e-6},
 		3, 1,
-		func(r *Request, done func()) {
+		func(r *Request) {
 			// Serve instantly after the nominal service time.
-			eng.Schedule(r.Service, func() {
-				completions++
-				done()
-			})
+			eng.Schedule(r.Service, func() { cl.Release(r) })
 		})
-	cl.Start()
+	cl.Start(10 * sim.Millisecond)
+	cl.Start(10 * sim.Millisecond) // a second Start launches no new threads
 	eng.Run(10 * sim.Millisecond)
 	// Each thread cycles every 100us → ~100 per thread in 10ms.
 	if cl.Completed() < 350 || cl.Completed() > 450 {
 		t.Fatalf("completed %d, want ~400", cl.Completed())
 	}
-	if cl.Issued() < cl.Completed() {
-		t.Fatal("issued < completed")
+	if cl.Generated() < cl.Completed() || cl.Generated() > cl.Completed()+4 {
+		t.Fatalf("generated %d, completed %d: want at most one outstanding per thread",
+			cl.Generated(), cl.Completed())
 	}
 	if cl.String() == "" {
 		t.Fatal("description empty")
@@ -39,13 +38,14 @@ func TestClosedLoopBasics(t *testing.T) {
 func TestClosedLoopSelfThrottles(t *testing.T) {
 	run := func(serverDelay sim.Duration) uint64 {
 		eng := sim.NewEngine()
-		cl := NewClosedLoopClient(eng, 8,
+		var cl *ClosedLoopClient
+		cl = NewClosedLoopClient(eng, 8,
 			stats.Deterministic{V: 10e-6}, stats.Deterministic{V: 50e-6},
 			0, 2,
-			func(r *Request, done func()) {
-				eng.Schedule(r.Service+serverDelay, done)
+			func(r *Request) {
+				eng.Schedule(r.Service+serverDelay, func() { cl.Release(r) })
 			})
-		cl.Start()
+		cl.Start(0)
 		eng.Run(20 * sim.Millisecond)
 		return cl.Completed()
 	}
@@ -58,31 +58,36 @@ func TestClosedLoopSelfThrottles(t *testing.T) {
 
 func TestClosedLoopStop(t *testing.T) {
 	eng := sim.NewEngine()
-	cl := NewClosedLoopClient(eng, 2,
+	var cl *ClosedLoopClient
+	cl = NewClosedLoopClient(eng, 2,
 		stats.Deterministic{V: 5e-6}, stats.Deterministic{V: 5e-6},
 		0, 3,
-		func(r *Request, done func()) { eng.Schedule(r.Service, done) })
-	cl.Start()
+		func(r *Request) { eng.Schedule(r.Service, func() { cl.Release(r) }) })
+	cl.Start(0)
 	eng.Run(sim.Millisecond)
 	cl.Stop()
-	at := cl.Issued()
+	at := cl.Generated()
 	eng.Run(10 * sim.Millisecond)
-	if cl.Issued() != at {
-		t.Fatalf("requests issued after Stop: %d -> %d", at, cl.Issued())
+	if cl.Generated() != at {
+		t.Fatalf("requests issued after Stop: %d -> %d", at, cl.Generated())
+	}
+	if cl.Completed() != at {
+		t.Fatalf("completed %d after Stop, want every issued request (%d)", cl.Completed(), at)
 	}
 }
 
 func TestClosedLoopConnStableAcrossThreads(t *testing.T) {
 	eng := sim.NewEngine()
 	conns := map[int]bool{}
-	cl := NewClosedLoopClient(eng, 5,
+	var cl *ClosedLoopClient
+	cl = NewClosedLoopClient(eng, 5,
 		stats.Deterministic{V: 1e-6}, stats.Deterministic{V: 1e-6},
 		0, 4,
-		func(r *Request, done func()) {
+		func(r *Request) {
 			conns[r.Conn] = true
-			eng.Schedule(r.Service, done)
+			eng.Schedule(r.Service, func() { cl.Release(r) })
 		})
-	cl.Start()
+	cl.Start(0)
 	eng.Run(sim.Millisecond)
 	if len(conns) != 5 {
 		t.Fatalf("saw %d connections, want 5 (one per thread)", len(conns))
@@ -97,7 +102,7 @@ func TestClosedLoopPanics(t *testing.T) {
 		},
 		func() {
 			NewClosedLoopClient(eng, 0, stats.Deterministic{V: 1}, stats.Deterministic{V: 1}, 0, 1,
-				func(*Request, func()) {})
+				func(*Request) {})
 		},
 	} {
 		func() {
@@ -114,14 +119,15 @@ func TestClosedLoopPanics(t *testing.T) {
 func TestSysbenchOLTPShape(t *testing.T) {
 	eng := sim.NewEngine()
 	var svc stats.Summary
-	cl := SysbenchOLTP(eng, 16, 1e-3, 5, func(r *Request, done func()) {
+	var cl *ClosedLoopClient
+	cl = SysbenchOLTP(eng, 16, 1e-3, 5, func(r *Request) {
 		svc.Add(float64(r.Service) / float64(sim.Second))
 		if r.MemAccesses != 10 {
 			t.Fatal("OLTP mem accesses wrong")
 		}
-		eng.Schedule(r.Service, done)
+		eng.Schedule(r.Service, func() { cl.Release(r) })
 	})
-	cl.Start()
+	cl.Start(0)
 	eng.Run(200 * sim.Millisecond)
 	// OLTP mix mean ≈ 132us.
 	if svc.Mean() < 100e-6 || svc.Mean() > 170e-6 {

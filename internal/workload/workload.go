@@ -160,7 +160,9 @@ func MySQL(load float64, cores int) Spec {
 // synthetic implementation; trace replay (internal/workload/replay)
 // provides a recorded one. Restart semantics are part of the contract:
 // a second Start replaces any pending arrival, so exactly one arrival
-// chain is ever live.
+// chain is ever live. ClosedLoopClient is the closed-loop exception: a
+// thread population has no arrival chain, so only its first Start does
+// anything, and Release doubles as the completion signal.
 type Source interface {
 	Start(until sim.Time)
 	Stop()
