@@ -1,9 +1,65 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden readout file")
+
+// TestReadoutGolden locks apctop's full readout — every configuration
+// under load, plus an idle run — against a committed golden file, so a
+// change to how the observer assembles and drives its machine that
+// moves a single byte fails here. Regenerate deliberately with
+//
+//	go test ./cmd/apctop/ -run TestReadoutGolden -update
+func TestReadoutGolden(t *testing.T) {
+	var b strings.Builder
+	for _, args := range [][]string{
+		{"-config", "cpc1a", "-qps", "30000"},
+		{"-config", "cshallow", "-qps", "30000"},
+		{"-config", "cdeep", "-qps", "30000"},
+		{"-config", "cpc1a", "-qps", "0"},
+	} {
+		args = append(args, "-intervals", "5", "-interval", "20ms")
+		b.WriteString("==== apctop " + strings.Join(args, " ") + " ====\n")
+		if err := run(&b, args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		b.WriteByte('\n')
+	}
+	got := []byte(b.String())
+
+	path := filepath.Join("testdata", "golden_apctop.txt")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	// Drop the full readout next to the golden so CI can upload it as
+	// an artifact.
+	gotPath := filepath.Join("testdata", "golden_apctop.got.txt")
+	if err := os.WriteFile(gotPath, got, 0o644); err != nil {
+		t.Logf("could not write %s: %v", gotPath, err)
+	} else {
+		t.Logf("full divergent readout written to %s", gotPath)
+	}
+	t.Fatalf("readout differs from golden:\n got:\n%s\nwant:\n%s", got, want)
+}
 
 // TestSmokeOneInterval is the CI gate that keeps apctop from rotting
 // silently (it used to have no tests at all, so only `go build ./...`
