@@ -233,13 +233,11 @@ func benchmarkFleetRouting(b *testing.B, hold, epoch sim.Duration, faults cluste
 	b.ReportMetric(float64(src.Generated())/float64(b.N+1), "req/iter")
 }
 
-// benchMembers is n default CPC1A machines seeded like the experiments.
+// benchMembers is n default CPC1A machines, as the experiments build.
 func benchMembers(n int) []cluster.MemberConfig {
 	members := make([]cluster.MemberConfig, n)
 	for i := range members {
-		scfg := server.DefaultConfig()
-		scfg.Seed = 1
-		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
+		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: server.DefaultConfig()}
 	}
 	return members
 }

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/msr"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
@@ -75,12 +76,20 @@ func run(w io.Writer, args []string) error {
 		return fmt.Errorf("interval must be positive (got %v)", *interval)
 	}
 
-	sys := soc.New(soc.DefaultConfig(kind))
-	mon := msr.NewMonitor(sys)
+	// Under load the machine is a 1×1 graph; idle, a bare system.
+	var g *cluster.Graph
+	var sys *soc.System
 	var srv *server.Server
 	if *qps > 0 {
-		srv = server.New(sys, server.DefaultConfig(), workload.Memcached(*qps))
+		var err error
+		if g, err = cluster.NewMachine(soc.DefaultConfig(kind), server.DefaultConfig(), workload.Memcached(*qps), 1); err != nil {
+			return err
+		}
+		sys, srv = g.Member(0, 0)
+	} else {
+		sys = soc.New(soc.DefaultConfig(kind))
 	}
+	mon := msr.NewMonitor(sys)
 
 	var readErr error
 	read := func(addr uint32, core int) uint64 {
@@ -109,8 +118,8 @@ func run(w io.Writer, args []string) error {
 			pc1a0 = sys.APMU.Residency(pmu.PC1A)
 		}
 
-		if srv != nil {
-			srv.Run(dt)
+		if g != nil {
+			g.Run(dt)
 		} else {
 			sys.Engine.Run(sys.Engine.Now() + dt)
 		}

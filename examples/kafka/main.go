@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"log"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -21,18 +23,16 @@ func main() {
 	for _, load := range []float64{0.08, 0.16} {
 		spec := workload.Kafka(load, 10)
 
-		shSys := soc.New(soc.DefaultConfig(soc.Cshallow))
-		shSrv := server.New(shSys, server.DefaultConfig(), spec)
+		sh, shSys := machine(soc.Cshallow, spec)
 		tr := trace.New(shSys.Engine, shSys.Cores)
 		shSnap := shSys.Meter.Snapshot()
-		shSrv.Run(window)
+		sh.Run(window)
 		tr.Finalize()
 		shW := shSnap.AverageTotal()
 
-		apSys := soc.New(soc.DefaultConfig(soc.CPC1A))
-		apSrv := server.New(apSys, server.DefaultConfig(), spec)
+		ap, apSys := machine(soc.CPC1A, spec)
 		apSnap := apSys.Meter.Snapshot()
-		apSrv.Run(window)
+		ap.Run(window)
 		apW := apSnap.AverageTotal()
 		res := float64(apSys.APMU.Residency(pmu.PC1A)) / float64(apSys.Engine.Now())
 
@@ -41,4 +41,14 @@ func main() {
 			shW, apW, (shW-apW)/shW*100)
 	}
 	fmt.Println("\npaper Fig. 9: PC1A residency 15-47%; power reduction 9-19%")
+}
+
+// machine assembles one kind server serving spec as a 1×1 graph.
+func machine(kind soc.ConfigKind, spec workload.Spec) (*cluster.Graph, *soc.System) {
+	g, err := cluster.NewMachine(soc.DefaultConfig(kind), server.DefaultConfig(), spec, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, _ := g.Member(0, 0)
+	return g, sys
 }

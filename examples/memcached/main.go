@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"log"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -38,26 +40,36 @@ func main() {
 // run serves Memcached at qps on a fresh system and returns average
 // SoC+DRAM watts and mean latency.
 func run(kind soc.ConfigKind, qps float64, window sim.Duration) (watts, meanLat float64) {
-	sys := soc.New(soc.DefaultConfig(kind))
 	if qps == 0 {
+		sys := soc.New(soc.DefaultConfig(kind))
 		snap := sys.Meter.Snapshot()
 		sys.Engine.Run(window)
 		return snap.AverageTotal(), 0
 	}
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(qps))
-	srv.Run(window / 5) // warmup
+	g, sys, srv := machine(kind, qps)
+	g.Run(window / 5) // warmup
 	snap := sys.Meter.Snapshot()
-	srv.Run(window)
+	g.Run(window)
 	return snap.AverageTotal(), srv.Latencies().Mean()
 }
 
 func pc1aResidency(qps float64, window sim.Duration) float64 {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
-	if qps > 0 {
-		srv := server.New(sys, server.DefaultConfig(), workload.Memcached(qps))
-		srv.Run(window)
-	} else {
+	if qps == 0 {
+		sys := soc.New(soc.DefaultConfig(soc.CPC1A))
 		sys.Engine.Run(window)
+		return float64(sys.APMU.Residency(pmu.PC1A)) / float64(sys.Engine.Now())
 	}
+	g, sys, _ := machine(soc.CPC1A, qps)
+	g.Run(window)
 	return float64(sys.APMU.Residency(pmu.PC1A)) / float64(sys.Engine.Now())
+}
+
+// machine assembles one server serving Memcached at qps as a 1×1 graph.
+func machine(kind soc.ConfigKind, qps float64) (*cluster.Graph, *soc.System, *server.Server) {
+	g, err := cluster.NewMachine(soc.DefaultConfig(kind), server.DefaultConfig(), workload.Memcached(qps), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, srv := g.Member(0, 0)
+	return g, sys, srv
 }

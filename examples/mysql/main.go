@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"log"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -22,19 +24,17 @@ func main() {
 		spec := workload.MySQL(load, 10)
 
 		// Cshallow baseline with residency tracing.
-		shSys := soc.New(soc.DefaultConfig(soc.Cshallow))
-		shSrv := server.New(shSys, server.DefaultConfig(), spec)
+		sh, shSys := machine(soc.Cshallow, spec)
 		tr := trace.New(shSys.Engine, shSys.Cores)
 		shSnap := shSys.Meter.Snapshot()
-		shSrv.Run(window)
+		sh.Run(window)
 		tr.Finalize()
 		shW := shSnap.AverageTotal()
 
 		// CPC1A.
-		apSys := soc.New(soc.DefaultConfig(soc.CPC1A))
-		apSrv := server.New(apSys, server.DefaultConfig(), spec)
+		ap, apSys := machine(soc.CPC1A, spec)
 		apSnap := apSys.Meter.Snapshot()
-		apSrv.Run(window)
+		ap.Run(window)
 		apW := apSnap.AverageTotal()
 
 		fmt.Printf("%4.0f%%  %6.0f  %5.1f%%  %5.1f%%   %6.1f%%    %6.1fW    %6.1fW    %5.1f%%\n",
@@ -43,4 +43,14 @@ func main() {
 			tr.AllIdleFraction()*100, shW, apW, (shW-apW)/shW*100)
 	}
 	fmt.Println("\npaper Fig. 8: all-idle 20-37% across loads; power reduction 7-14%")
+}
+
+// machine assembles one kind server serving spec as a 1×1 graph.
+func machine(kind soc.ConfigKind, spec workload.Spec) (*cluster.Graph, *soc.System) {
+	g, err := cluster.NewMachine(soc.DefaultConfig(kind), server.DefaultConfig(), spec, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, _ := g.Member(0, 0)
+	return g, sys
 }

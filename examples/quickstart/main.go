@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"log"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -14,8 +16,14 @@ import (
 )
 
 func main() {
-	// A 10-core Skylake-class server with the APC architecture.
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	// A 10-core Skylake-class server with the APC architecture, set up
+	// to serve Memcached at 50K QPS: one machine is a 1×1 graph.
+	g, err := cluster.NewMachine(soc.DefaultConfig(soc.CPC1A), server.DefaultConfig(),
+		workload.Memcached(50000), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, srv := g.Member(0, 0)
 
 	// Let it idle: all cores sit in CC1, so the APMU drops the package
 	// into PC1A within tens of nanoseconds.
@@ -25,10 +33,9 @@ func main() {
 	fmt.Printf("PC1A residency so far: %.1f%%\n",
 		100*float64(sys.APMU.Residency(pmu.PC1A))/float64(sys.Engine.Now()))
 
-	// Now serve Memcached at 50K QPS for 200ms of virtual time.
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(50000))
+	// Now serve the load for 200ms of virtual time.
 	snap := sys.Meter.Snapshot()
-	srv.Run(200 * sim.Millisecond)
+	g.Run(200 * sim.Millisecond)
 
 	fmt.Printf("\nafter 200ms at 50K QPS:\n")
 	fmt.Printf("  served:        %d requests\n", srv.Served())

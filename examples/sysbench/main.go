@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"log"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -20,18 +22,27 @@ func main() {
 	fmt.Println("threads  completed   tps      mean-lat   PC1A-res   power")
 
 	for _, threads := range []int{4, 16, 64} {
-		sys := soc.New(soc.DefaultConfig(soc.CPC1A))
-		srv := server.NewClosedLoop(sys, server.DefaultConfig())
+		// One machine as a 1×1 graph whose source is the thread
+		// population instead of an open-loop generator.
 		var cl *workload.ClosedLoopClient
-		cl = workload.SysbenchOLTP(sys.Engine, threads, 2e-3, 1, func(r *workload.Request) {
-			srv.Submit(r, func() { cl.Release(r) })
-		})
+		members := []cluster.MemberConfig{{SoC: soc.DefaultConfig(soc.CPC1A), Server: server.DefaultConfig()}}
+		g, err := cluster.NewGraph(cluster.GraphConfig{Tiers: []cluster.TierConfig{{
+			Cluster: cluster.Config{Policy: cluster.RoundRobin, Members: members,
+				NewSource: func(eng *sim.Engine, _ workload.Spec, seed uint64, sink func(*workload.Request)) workload.Source {
+					cl = workload.SysbenchOLTP(eng, threads, 2e-3, seed, sink)
+					return cl
+				}},
+			Spec: workload.Spec{Name: fmt.Sprintf("sysbench-%dthr", threads)},
+		}}}, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sys, srv := g.Member(0, 0)
 
-		cl.Start(window)
 		snap := sys.Meter.Snapshot()
-		srv.Run(window)
+		g.Run(window) // threads issue until stopped: no drain
 		cl.Stop()
-		srv.Run(20 * sim.Millisecond) // drain
+		g.Run(20 * sim.Millisecond) // flush the tail
 
 		tps := float64(cl.Completed()) / window.Seconds()
 		res := float64(sys.APMU.Residency(pmu.PC1A)) / float64(sys.Engine.Now())

@@ -45,15 +45,12 @@
 // per-server meters' energy integrals over the measured window, and each
 // rack additionally aggregates its members into a rack-zone integral
 // (RackStats) — the pool/zone granularity production power tooling
-// manages. A 1-server round_robin fleet is, by construction, byte-for-
-// byte the single-server simulation (the scenario layer's parity test
-// enforces this), which pins the cluster layer as a strict
-// generalization.
+// manages.
 //
 // Fleets are built and driven only through a service Graph (graph.go):
-// a plain fleet is a one-tier graph, so NewGraph, Graph.Run,
-// Graph.Measure and Graph.Reset are the one way to assemble, run,
-// measure and reuse any fleet.
+// a plain fleet is a one-tier graph and a single machine a 1×1 one
+// (NewMachine), so NewGraph, Graph.Run, Graph.Measure and Graph.Reset
+// are the one way to assemble, run, measure and reuse any machine.
 package cluster
 
 import (
@@ -264,8 +261,8 @@ type member struct {
 	routed  uint64
 	dropped uint64
 	// truncated is the subset of dropped that was still actively
-	// draining when Graph.Run's cap tripped (engine had pending events)
-	// — the fleet mirror of server.(*Server).TruncatedDrain.
+	// draining when Graph.Run's cap tripped (engine had pending events);
+	// dropped − truncated leaked forever.
 	truncated uint64
 
 	// Fault-layer state (inert, all zero, without one; see faults.go and
@@ -473,7 +470,7 @@ func (f *Fleet) build(cfg Config, spec workload.Spec, seed uint64) {
 		m.cap = capFor(cfg.Policy, mc, spec, cfg.P99Target, 2*tor)
 		m.netLat = eff.Server.NetworkLatency
 		m.sys = soc.NewOnEngine(eff.SoC, f.eng)
-		m.srv = server.NewClosedLoop(m.sys, eff.Server)
+		m.srv = server.New(m.sys, eff.Server)
 		m.cores = len(m.sys.Cores)
 	}
 	f.rr = 0

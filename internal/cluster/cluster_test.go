@@ -201,7 +201,7 @@ func TestFleetDeterminism(t *testing.T) {
 // TestDroppedSaturatedServer drives a heterogeneous fleet where
 // round_robin keeps feeding a server that cannot keep up (its per-server
 // kernel overhead makes every request take ~1s of core time). The
-// backlog cannot clear within server.DrainCap, so the fleet's Dropped
+// backlog cannot clear within drainCap, so the fleet's Dropped
 // leak counter must surface those requests — concentrated on the slow
 // server — and the fleet-wide accounting must still balance.
 func TestDroppedSaturatedServer(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 	"agilepkgc/internal/stats"
@@ -354,7 +353,7 @@ func TestRackDroppedAggregation(t *testing.T) {
 	spec := workload.Spec{
 		Name:        "glacial",
 		Arrivals:    stats.Poisson{RateV: 5000},
-		Service:     stats.Deterministic{V: 3 * server.DrainCap.Seconds()},
+		Service:     stats.Deterministic{V: 3 * drainCap.Seconds()},
 		Connections: 8,
 		MemAccesses: 1,
 	}

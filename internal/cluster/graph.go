@@ -253,6 +253,16 @@ func NewGraph(cfg GraphConfig, seed uint64) (*Graph, error) {
 	return g, nil
 }
 
+// NewMachine builds the 1×1 graph every single-machine point runs on:
+// one server behind a round_robin balancer, fed spec's synthetic stream
+// seeded with seed. Member(0, 0) returns its system and server.
+func NewMachine(sc soc.Config, scfg server.Config, spec workload.Spec, seed uint64) (*Graph, error) {
+	return NewGraph(GraphConfig{Tiers: []TierConfig{{
+		Cluster: Config{Policy: RoundRobin, Members: []MemberConfig{{SoC: sc, Server: scfg}}},
+		Spec:    spec,
+	}}}, seed)
+}
+
 // build assembles (or, on Reset, reassembles) a validated graph in a
 // fixed order — tiers first, in index order, then edges — so a rebuilt
 // graph schedules the identical initial event sequence a fresh one
@@ -531,20 +541,21 @@ func (g *Graph) inFlight() int {
 	return n
 }
 
+// drainCap bounds the extra virtual time Run spends draining stragglers,
+// so a backlog that cannot clear ends in the dropped counters instead.
+const drainCap = 10 * sim.Second
+
 // Run generates root-tier load for d of virtual time, then drains every
-// tier until every in-flight request completes, up to server.DrainCap
-// of extra virtual time — the same window/drain sequence as
-// server.(*Server).Run, which the 1×1 parity contract
-// (TestScenarioMatchesHandWiredRun) depends on. Non-root sources have no
-// arrival chain to start, so on one-tier graphs the Start loop is the
-// root source's single Start. Misses discovered during the drain still
-// emit their backend requests: the drain loop keeps going until every
-// tier is empty or the cap trips. Requests still in flight when the cap
-// trips are snapshotted into the per-member dropped counters. A graph
-// whose root source is a workload.ClosedLoopClient only advances time —
-// the rule server.(*Server).Run applies to closed-loop servers: threads
-// issue until the caller stops them, so it neither drains nor counts
-// drops.
+// tier until every in-flight request completes, up to drainCap of extra
+// virtual time. Non-root sources have no arrival chain to start, so on
+// one-tier graphs the Start loop is the root source's single Start.
+// Misses discovered during the drain still emit their backend requests:
+// the drain loop keeps going until every tier is empty or the cap trips.
+// Requests still in flight when the cap trips are snapshotted (a later
+// Run may still complete them) into the per-member dropped counters. A
+// graph whose root source is a workload.ClosedLoopClient only advances
+// time: threads issue until the caller stops them, so it neither drains
+// nor counts drops; call Run again after Stop to flush the tail.
 func (g *Graph) Run(d sim.Duration) {
 	stop := g.eng.Now() + d
 	for _, t := range g.tiers {
@@ -554,16 +565,16 @@ func (g *Graph) Run(d sim.Duration) {
 	if _, closed := g.tiers[0].fl.gen.(*workload.ClosedLoopClient); closed {
 		return // threads issue until stopped: nothing to drain
 	}
-	deadline := g.eng.Now() + server.DrainCap
+	deadline := g.eng.Now() + drainCap
 	for g.inFlight() > 0 && g.eng.Now() < deadline {
 		g.eng.Run(g.eng.Now() + sim.Millisecond)
 	}
-	// Same leaked-vs-truncated discriminator as server.(*Server).Run: a
-	// non-empty event queue means the stragglers are progressing and
-	// merely outlived the cap. The feedback loop's perpetual epoch tick
-	// (and fault-injection timers) keep the queue non-empty, so on those
-	// configurations the discriminator is optimistic, like the
-	// single-server one is under timer ticks.
+	// Leaked vs truncated: a non-empty event queue means the stragglers
+	// are progressing and merely outlived the cap; an empty one means
+	// nothing can ever complete them. The feedback loop's perpetual epoch
+	// tick, fault-injection timers and server timer ticks keep the queue
+	// non-empty, so on those configurations the discriminator is
+	// optimistic: a leak beside a live timer chain reads as truncated.
 	trunc := g.inFlight() > 0 && g.eng.Pending() > 0
 	for _, t := range g.tiers {
 		for _, m := range t.fl.members {

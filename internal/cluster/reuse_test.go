@@ -278,13 +278,15 @@ func TestPointGraphSteadyStateAllocs(t *testing.T) {
 }
 
 // TestClosedLoopGraphRunAdvancesExactly pins the closed-loop rule of
-// Graph.Run, the one server.(*Server).Run applies to closed-loop
-// servers: threads issue continuously, so Run advances exactly the
-// requested window, with no drain and no drop accounting.
+// Graph.Run: threads issue continuously, so Run advances exactly the
+// requested window, with no drain and no drop accounting; once the
+// caller stops the threads, a further Run flushes the tail.
 func TestClosedLoopGraphRunAdvancesExactly(t *testing.T) {
+	var cl *workload.ClosedLoopClient
 	cfg := Config{Policy: RoundRobin, Members: uniformMembers(1, soc.CPC1A)}
 	cfg.NewSource = func(eng *sim.Engine, _ workload.Spec, seed uint64, sink func(*workload.Request)) workload.Source {
-		return workload.SysbenchOLTP(eng, 8, 1e-3, seed, sink)
+		cl = workload.SysbenchOLTP(eng, 8, 1e-3, seed, sink)
+		return cl
 	}
 	g, err := NewGraph(oneTier(cfg, workload.Spec{Name: "sysbench-8thr"}), 1)
 	if err != nil {
@@ -300,5 +302,19 @@ func TestClosedLoopGraphRunAdvancesExactly(t *testing.T) {
 	}
 	if f.Dropped != 0 || f.TruncatedDrain != 0 {
 		t.Fatalf("closed-loop graph counted drops: dropped %d, truncated %d", f.Dropped, f.TruncatedDrain)
+	}
+
+	cl.Stop()
+	g.Run(10 * sim.Millisecond) // flush the tail
+	_, srv := g.Member(0, 0)
+	if cl.Completed() == 0 {
+		t.Fatal("nothing completed")
+	}
+	if srv.Served() < cl.Completed() {
+		t.Fatalf("served %d < completed %d", srv.Served(), cl.Completed())
+	}
+	// The latency floor still includes the network component.
+	if min := srv.Latencies().Min(); min < 117e-6 {
+		t.Fatalf("min latency %v below network floor", min)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -60,7 +61,11 @@ func Batching(opt Options, qps float64, epochs []sim.Duration) *BatchingResult {
 	res.Points = Sweep(opt, epochs, func(epoch sim.Duration) BatchingPoint {
 		scfg := server.DefaultConfig()
 		scfg.BatchEpoch = epoch
-		g, sys, srv := pointGraph(soc.DefaultConfig(soc.CPC1A), scfg, spec, opt)
+		g, err := cluster.NewMachine(soc.DefaultConfig(soc.CPC1A), scfg, spec, opt.Seed)
+		if err != nil {
+			panic(err) // all inputs are compile-time constants: an error is a bug
+		}
+		sys, srv := g.Member(0, 0)
 		g.Run(opt.Duration / 10)
 		snap := sys.Meter.Snapshot()
 		t0 := sys.Engine.Now()

@@ -109,7 +109,11 @@ func (o Options) Warmup() sim.Duration {
 // runPoint runs one (config, workload) point with a tracer attached
 // over the measured window.
 func runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options) *loadedRun {
-	g, sys, srv := pointGraph(soc.DefaultConfig(kind), server.DefaultConfig(), spec, opt)
+	g, err := cluster.NewMachine(soc.DefaultConfig(kind), server.DefaultConfig(), spec, opt.Seed)
+	if err != nil {
+		panic(err) // all inputs are compile-time constants: an error is a bug
+	}
+	sys, srv := g.Member(0, 0)
 
 	g.Run(opt.Warmup())
 
@@ -126,22 +130,6 @@ func runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options) *loadedRun {
 		avgDRAMW:  snap.AveragePower(power.DRAM),
 		avgTotalW: snap.AverageTotal(),
 	}
-}
-
-// pointGraph builds the 1×1 graph — one server behind a round_robin
-// balancer — every single-machine experiment point runs on, seeded with
-// opt.Seed, and returns it with its one machine.
-func pointGraph(sc soc.Config, scfg server.Config, spec workload.Spec, opt Options) (*cluster.Graph, *soc.System, *server.Server) {
-	members := []cluster.MemberConfig{{SoC: sc, Server: scfg}}
-	g, err := cluster.NewGraph(cluster.GraphConfig{Tiers: []cluster.TierConfig{{
-		Cluster: cluster.Config{Policy: cluster.RoundRobin, Members: members}, Spec: spec,
-	}}}, opt.Seed)
-	if err != nil {
-		// All inputs are compile-time constants; an error is a bug.
-		panic(err)
-	}
-	sys, srv := g.Member(0, 0)
-	return g, sys, srv
 }
 
 // table builds a simple aligned text table.

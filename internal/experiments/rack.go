@@ -65,13 +65,7 @@ func init() {
 // points with the same topology shape reset one graph instead of
 // building a new one.
 func measureFleet(reuse *cluster.GraphReuse, opt Options, cfg cluster.Config, specFn func() workload.Spec) cluster.Measurement {
-	members := make([]cluster.MemberConfig, cfg.Topology.Servers())
-	for i := range members {
-		scfg := server.DefaultConfig()
-		scfg.Seed = opt.Seed
-		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
-	}
-	cfg.Members = members
+	cfg.Members = cpc1aMembers(cfg.Topology.Servers())
 	g, err := reuse.Graph(cluster.GraphConfig{
 		Tiers: []cluster.TierConfig{{Cluster: cfg, Spec: specFn()}},
 	}, opt.Seed)
@@ -80,6 +74,16 @@ func measureFleet(reuse *cluster.GraphReuse, opt Options, cfg cluster.Config, sp
 		panic(err)
 	}
 	return g.Measure(opt.Warmup(), opt.Duration).Tiers[0].Fleet
+}
+
+// cpc1aMembers builds n default CPC1A machines, the fleet material of
+// every fleet and tiered artifact.
+func cpc1aMembers(n int) []cluster.MemberConfig {
+	members := make([]cluster.MemberConfig, n)
+	for i := range members {
+		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: server.DefaultConfig()}
+	}
+	return members
 }
 
 // newReuse builds one graph cache per sweep worker (SweepWith's newS).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/ios"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
@@ -52,7 +53,11 @@ func Remote(opt Options, qps float64, rates []float64) *RemoteResult {
 	sh := runPoint(soc.Cshallow, spec, opt)
 
 	res.Points = Sweep(opt, rates, func(rate float64) RemotePoint {
-		g, sys, _ := pointGraph(soc.DefaultConfig(soc.CPC1A), server.DefaultConfig(), spec, opt)
+		g, err := cluster.NewMachine(soc.DefaultConfig(soc.CPC1A), server.DefaultConfig(), spec, opt.Seed)
+		if err != nil {
+			panic(err) // all inputs are compile-time constants: an error is a bug
+		}
+		sys, _ := g.Member(0, 0)
 
 		if rate > 0 {
 			armSnoops(sys, rate, opt.Seed+99)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"agilepkgc/internal/cluster"
 	apc "agilepkgc/internal/core"
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/pmu"
@@ -79,7 +80,11 @@ func Sensitivity(opt Options) *SensitivityResult {
 	refSpec := workload.Memcached(20000)
 	shallowRefW := runPoint(soc.Cshallow, refSpec, opt).avgTotalW
 	loadSavings := func(cfg soc.Config) float64 {
-		g, s, _ := pointGraph(cfg, server.DefaultConfig(), refSpec, opt)
+		g, err := cluster.NewMachine(cfg, server.DefaultConfig(), refSpec, opt.Seed)
+		if err != nil {
+			panic(err) // all inputs are compile-time constants: an error is a bug
+		}
+		s, _ := g.Member(0, 0)
 		g.Run(opt.Duration / 10)
 		snap := s.Meter.Snapshot()
 		g.Run(opt.Duration)

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"agilepkgc/internal/cluster"
-	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 	"agilepkgc/internal/workload"
@@ -62,23 +61,11 @@ type TieredPoint struct {
 	Client   cluster.ClientStats `json:"client"`
 }
 
-// tieredMembers builds n default CPC1A machines, the same fleet
-// material measureFleet uses.
-func tieredMembers(n int, seed uint64) []cluster.MemberConfig {
-	members := make([]cluster.MemberConfig, n)
-	for i := range members {
-		scfg := server.DefaultConfig()
-		scfg.Seed = seed
-		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
-	}
-	return members
-}
-
 // tieredGraphConfig assembles the two-tier graph at one hit ratio. The
 // backend spec's rate is the expected miss stream — it names the
 // operating point; the graph's push source takes its arrival instants
 // from the cache tier's misses, not from the spec.
-func tieredGraphConfig(hitRatio float64, seed uint64) cluster.GraphConfig {
+func tieredGraphConfig(hitRatio float64) cluster.GraphConfig {
 	cores := soc.DefaultConfig(soc.CPC1A).CoreCount
 	missRate := DefaultTieredQPS * (1 - hitRatio)
 	probe := workload.MySQL(1, cores)
@@ -91,7 +78,7 @@ func tieredGraphConfig(hitRatio float64, seed uint64) cluster.GraphConfig {
 					Policy:    cluster.PowerAware,
 					P99Target: DefaultClusterP99Target,
 					Topology:  cluster.Flat(DefaultTieredCacheServers),
-					Members:   tieredMembers(DefaultTieredCacheServers, seed),
+					Members:   cpc1aMembers(DefaultTieredCacheServers),
 				},
 				Spec: workload.Memcached(DefaultTieredQPS),
 			},
@@ -101,7 +88,7 @@ func tieredGraphConfig(hitRatio float64, seed uint64) cluster.GraphConfig {
 					Policy:    cluster.PowerAware,
 					P99Target: DefaultTieredBackendP99Target,
 					Topology:  cluster.Flat(DefaultTieredBackendServers),
-					Members:   tieredMembers(DefaultTieredBackendServers, seed),
+					Members:   cpc1aMembers(DefaultTieredBackendServers),
 				},
 				Spec: backendSpec,
 			},
@@ -143,7 +130,7 @@ func TieredCache(opt Options, hitRatios []float64) (*TieredCacheResult, error) {
 	}
 	newGraphReuse := func() *cluster.GraphReuse { return new(cluster.GraphReuse) }
 	res.Points = SweepWith(opt, hitRatios, newGraphReuse, func(reuse *cluster.GraphReuse, h float64) TieredPoint {
-		g, err := reuse.Graph(tieredGraphConfig(h, opt.Seed), opt.Seed)
+		g, err := reuse.Graph(tieredGraphConfig(h), opt.Seed)
 		if err != nil {
 			// All inputs are compile-time constants; an error is a bug.
 			panic(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"agilepkgc/internal/cluster"
 	apc "agilepkgc/internal/core"
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/dram"
@@ -21,6 +22,26 @@ import (
 	"agilepkgc/internal/trace"
 	"agilepkgc/internal/workload"
 )
+
+// machine assembles one kind server serving spec the way every point
+// runs — as a 1×1 graph — and returns the graph with its system and
+// server.
+func machine(t *testing.T, kind soc.ConfigKind, spec workload.Spec, seed uint64) (*cluster.Graph, *soc.System, *server.Server) {
+	t.Helper()
+	g, err := cluster.NewMachine(soc.DefaultConfig(kind), server.DefaultConfig(), spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, srv := g.Member(0, 0)
+	return g, sys, srv
+}
+
+// served runs the graph's measurement over d of virtual time, with no
+// warmup, and returns its served and generated request counts.
+func served(g *cluster.Graph, d sim.Duration) (uint64, uint64) {
+	m := g.Measure(0, d).Tiers[0].Fleet
+	return m.Served, m.Generated
+}
 
 // invariantProbe attaches periodic whole-system checks to a CPC1A run.
 type invariantProbe struct {
@@ -102,25 +123,23 @@ func (p *invariantProbe) check() {
 }
 
 func TestInvariantsUnderMemcached(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	g, sys, _ := machine(t, soc.CPC1A, workload.Memcached(80000), 1)
 	probe := &invariantProbe{t: t, sys: sys}
 	probe.arm(50 * sim.Microsecond)
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(80000))
-	srv.Run(200 * sim.Millisecond)
+	n, gen := served(g, 200*sim.Millisecond)
 	if probe.checks < 1000 {
 		t.Fatalf("probe ran only %d times", probe.checks)
 	}
-	if srv.Served() != srv.Generated() {
-		t.Fatalf("lost requests: %d/%d", srv.Served(), srv.Generated())
+	if n != gen {
+		t.Fatalf("lost requests: %d/%d", n, gen)
 	}
 }
 
 func TestInvariantsUnderBurstyKafka(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	g, sys, srv := machine(t, soc.CPC1A, workload.Kafka(0.16, 10), 1)
 	probe := &invariantProbe{t: t, sys: sys}
 	probe.arm(100 * sim.Microsecond)
-	srv := server.New(sys, server.DefaultConfig(), workload.Kafka(0.16, 10))
-	srv.Run(200 * sim.Millisecond)
+	g.Run(200 * sim.Millisecond)
 	if srv.Served() == 0 {
 		t.Fatal("nothing served")
 	}
@@ -130,12 +149,11 @@ func TestInvariantsUnderBurstyKafka(t *testing.T) {
 // power times elapsed time, and per-domain energies are consistent with
 // snapshots taken mid-run.
 func TestEnergyConservation(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(30000))
+	g, sys, _ := machine(t, soc.CPC1A, workload.Memcached(30000), 1)
 	start := sys.Meter.Snapshot()
-	srv.Run(50 * sim.Millisecond)
+	g.Run(50 * sim.Millisecond)
 	mid := sys.Meter.Snapshot()
-	srv.Run(50 * sim.Millisecond)
+	g.Run(50 * sim.Millisecond)
 
 	e1 := start.IntervalEnergy(power.Package) + start.IntervalEnergy(power.DRAM)
 	e2 := mid.IntervalEnergy(power.Package) + mid.IntervalEnergy(power.DRAM)
@@ -156,7 +174,7 @@ func TestEnergyConservation(t *testing.T) {
 // Timer storms (thermal events, tick storms) must never wedge the APMU:
 // fire GPMU wakeups at aggressive rates while load runs.
 func TestTimerStormFailureInjection(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	g, sys, _ := machine(t, soc.CPC1A, workload.Memcached(50000), 1)
 	var storm func()
 	storm = func() {
 		sys.GPMU.FireTimer()
@@ -164,10 +182,8 @@ func TestTimerStormFailureInjection(t *testing.T) {
 	}
 	sys.Engine.Schedule(sim.Microsecond, storm)
 
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(50000))
-	srv.Run(100 * sim.Millisecond)
-	if srv.Served() != srv.Generated() {
-		t.Fatalf("storm lost requests: %d/%d", srv.Served(), srv.Generated())
+	if n, gen := served(g, 100*sim.Millisecond); n != gen {
+		t.Fatalf("storm lost requests: %d/%d", n, gen)
 	}
 	// The system must still be able to reach PC1A afterwards.
 	if sys.PackageState() != pmu.PC1A {
@@ -182,7 +198,7 @@ func TestTimerStormFailureInjection(t *testing.T) {
 // Link flapping: DMA bursts arriving exactly around PC1A entry must
 // never deadlock or corrupt the FSM.
 func TestLinkFlapFailureInjection(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	g, sys, _ := machine(t, soc.CPC1A, workload.Memcached(20000), 1)
 	rng := stats.NewRNG(7)
 	link := sys.Links[1] // not the NIC
 	var flap func()
@@ -195,10 +211,8 @@ func TestLinkFlapFailureInjection(t *testing.T) {
 	}
 	sys.Engine.Schedule(10*sim.Microsecond, flap)
 
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(20000))
-	srv.Run(100 * sim.Millisecond)
-	if srv.Served() != srv.Generated() {
-		t.Fatalf("flapping lost requests: %d/%d", srv.Served(), srv.Generated())
+	if n, gen := served(g, 100*sim.Millisecond); n != gen {
+		t.Fatalf("flapping lost requests: %d/%d", n, gen)
 	}
 	if sys.APMU.Entries(pmu.PC1A) == 0 {
 		t.Fatal("no PC1A entries despite idleness between flaps")
@@ -209,7 +223,7 @@ func TestLinkFlapFailureInjection(t *testing.T) {
 // in CC6 or CC1E, whatever the load pattern.
 func TestNoDeepCoreStatesInShallowConfigs(t *testing.T) {
 	for _, kind := range []soc.ConfigKind{soc.Cshallow, soc.CPC1A} {
-		sys := soc.New(soc.DefaultConfig(kind))
+		g, sys, _ := machine(t, kind, workload.MemcachedBursty(30000, 6), 1)
 		for _, c := range sys.Cores {
 			c.OnTransition(func(old, new cpu.CState) {
 				if new == cpu.CC6 || new == cpu.CC1E {
@@ -217,19 +231,16 @@ func TestNoDeepCoreStatesInShallowConfigs(t *testing.T) {
 				}
 			})
 		}
-		srv := server.New(sys, server.DefaultConfig(), workload.MemcachedBursty(30000, 6))
-		srv.Run(100 * sim.Millisecond)
+		g.Run(100 * sim.Millisecond)
 	}
 }
 
 // Cdeep end-to-end: PC6 residency accrues at idle, and its unwinding
 // always lands back in a servable system.
 func TestCdeepServesAfterPC6(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.Cdeep))
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(2000))
-	srv.Run(300 * sim.Millisecond)
-	if srv.Served() != srv.Generated() {
-		t.Fatalf("lost requests: %d/%d", srv.Served(), srv.Generated())
+	g, sys, _ := machine(t, soc.Cdeep, workload.Memcached(2000), 1)
+	if n, gen := served(g, 300*sim.Millisecond); n != gen {
+		t.Fatalf("lost requests: %d/%d", n, gen)
 	}
 	if sys.GPMU.Entries(pmu.PC6) == 0 {
 		t.Fatal("2K QPS on Cdeep should reach PC6 between requests")
@@ -246,12 +257,9 @@ func TestPropertyPowerOrdering(t *testing.T) {
 	f := func(seed uint64) bool {
 		qps := 2000 + float64(seed%30000)
 		measure := func(kind soc.ConfigKind) float64 {
-			sys := soc.New(soc.DefaultConfig(kind))
-			scfg := server.DefaultConfig()
-			scfg.Seed = seed
-			srv := server.New(sys, scfg, workload.Memcached(qps))
+			g, sys, _ := machine(t, kind, workload.Memcached(qps), seed)
 			snap := sys.Meter.Snapshot()
-			srv.Run(30 * sim.Millisecond)
+			g.Run(30 * sim.Millisecond)
 			return snap.AverageTotal()
 		}
 		shallow := measure(soc.Cshallow)
@@ -267,10 +275,9 @@ func TestPropertyPowerOrdering(t *testing.T) {
 // served counts, latencies, energies and PC1A entry counts.
 func TestWholeSystemDeterminism(t *testing.T) {
 	run := func() (uint64, float64, float64, uint64) {
-		sys := soc.New(soc.DefaultConfig(soc.CPC1A))
-		srv := server.New(sys, server.DefaultConfig(), workload.MemcachedBursty(40000, 4))
+		g, sys, srv := machine(t, soc.CPC1A, workload.MemcachedBursty(40000, 4), 1)
 		snap := sys.Meter.Snapshot()
-		srv.Run(50 * sim.Millisecond)
+		g.Run(50 * sim.Millisecond)
 		return srv.Served(), srv.Latencies().Mean(), snap.IntervalEnergy(power.Package),
 			sys.APMU.Entries(pmu.PC1A)
 	}
@@ -284,10 +291,9 @@ func TestWholeSystemDeterminism(t *testing.T) {
 // The tracer agrees with the APMU about the PC1A opportunity: on a CPC1A
 // system, PC1A residency ≈ all-idle residency minus transition slivers.
 func TestTracerAPMUAgreement(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	g, sys, _ := machine(t, soc.CPC1A, workload.Memcached(30000), 1)
 	tr := trace.New(sys.Engine, sys.Cores)
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(30000))
-	srv.Run(200 * sim.Millisecond)
+	g.Run(200 * sim.Millisecond)
 	tr.Finalize()
 
 	allIdle := tr.AllIdleFraction()
@@ -302,10 +308,9 @@ func TestTracerAPMUAgreement(t *testing.T) {
 
 // DRAM access counters line up with the workload's configured accesses.
 func TestMemoryTrafficAccounting(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
 	spec := workload.Memcached(20000)
-	srv := server.New(sys, server.DefaultConfig(), spec)
-	srv.Run(100 * sim.Millisecond)
+	g, sys, srv := machine(t, soc.CPC1A, spec, 1)
+	g.Run(100 * sim.Millisecond)
 	var accesses uint64
 	for _, mc := range sys.MCs {
 		accesses += mc.Accesses()
@@ -324,9 +329,8 @@ func TestMemoryTrafficAccounting(t *testing.T) {
 // CKE-off must engage only during system idleness, and the self-refresh
 // path must stay untouched on CPC1A systems.
 func TestDRAMModesPerConfig(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(30000))
-	srv.Run(100 * sim.Millisecond)
+	g, sys, _ := machine(t, soc.CPC1A, workload.Memcached(30000), 1)
+	g.Run(100 * sim.Millisecond)
 	for _, mc := range sys.MCs {
 		if mc.SREntries() != 0 {
 			t.Errorf("MC %s entered self-refresh %d times on a CPC1A system", mc.Name(), mc.SREntries())

@@ -251,7 +251,7 @@ func (s *Scenario) validateFleetPoint(c *Cluster, ti int, kind soc.ConfigKind) e
 			return fmt.Errorf("%s.server_overrides[%s]: %s has only %d servers", block, key, noun, n)
 		}
 	}
-	for i, mc := range s.memberConfigs(c, kind, 0) {
+	for i, mc := range s.memberConfigs(c, kind) {
 		if mc.Server.TimerTickHz > 0 && mc.Server.TickKernelTime <= 0 {
 			return fmt.Errorf("%sserver %d: timer_tick_hz needs tick_kernel_us > 0", srv, i)
 		}
@@ -263,9 +263,8 @@ func (s *Scenario) validateFleetPoint(c *Cluster, ti int, kind soc.ConfigKind) e
 // configurations — the cluster block's or one tier's. The scenario-level
 // Server overrides are the base of every block's servers; the block's
 // own ServerOverrides refine them per server.
-func (s *Scenario) memberConfigs(c *Cluster, kind soc.ConfigKind, seed uint64) []cluster.MemberConfig {
+func (s *Scenario) memberConfigs(c *Cluster, kind soc.ConfigKind) []cluster.MemberConfig {
 	base := server.DefaultConfig()
-	base.Seed = seed
 	s.Server.apply(&base)
 	members := make([]cluster.MemberConfig, c.Servers)
 	for i := range members {
@@ -307,9 +306,7 @@ func tierSpec(service string, rate float64, cores int) workload.Spec {
 // block arrives here as a one-tier graph, a single machine as a 1×1
 // graph: every tier a full fleet on one shared engine, edges carrying
 // misses downstream (see cluster.Graph), measured through the
-// experiments' warmup/window sequence. A 1×1 graph is event-for-event
-// the server.Run library path, so its Point is bit-identical to a
-// hand-wired server's (TestScenarioMatchesHandWiredRun locks this).
+// experiments' warmup/window sequence.
 func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.GraphReuse) Point {
 	kind, _ := soc.ParseConfigKind(sc.Config)
 	cores := soc.DefaultConfig(kind).CoreCount
@@ -414,7 +411,7 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 				DrainHold:     us(t.DrainHoldUS),
 				FeedbackEpoch: us(t.FeedbackEpochUS),
 				Faults:        t.Faults.config(),
-				Members:       sc.memberConfigs(&t.Cluster, kind, opt.Seed),
+				Members:       sc.memberConfigs(&t.Cluster, kind),
 				NewSource:     source,
 			},
 			Spec: spec,

@@ -7,11 +7,7 @@ import (
 	"testing"
 
 	"agilepkgc/internal/experiments"
-	"agilepkgc/internal/power"
-	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
-	"agilepkgc/internal/soc"
-	"agilepkgc/internal/workload"
 )
 
 func quickOpt() experiments.Options {
@@ -131,98 +127,6 @@ func TestRunRejectsBadPoints(t *testing.T) {
 		Sweep:    &Sweep{Axis: AxisQPS, Values: []float64{1000, 2000}}}
 	if _, err := sc.Run(quickOpt()); err != nil {
 		t.Errorf("sweep-supplied qps rejected: %v", err)
-	}
-}
-
-// TestScenarioMatchesHandWiredRun is the bit-for-bit contract: a
-// scenario point with no overrides runs as a 1×1 graph, and must
-// reproduce exactly what the server.Run library path measures on a
-// hand-wired machine — same warmup, same window, same seed, same event
-// sequence.
-func TestScenarioMatchesHandWiredRun(t *testing.T) {
-	opt := quickOpt()
-	const qps = 20000
-
-	// Hand-wired: the server.New + Run library path.
-	sys := soc.New(soc.DefaultConfig(soc.Cshallow))
-	scfg := server.DefaultConfig()
-	scfg.Seed = opt.Seed
-	srv := server.New(sys, scfg, workload.Memcached(qps))
-	warm := opt.Duration / 10
-	if warm > 50*sim.Millisecond {
-		warm = 50 * sim.Millisecond
-	}
-	srv.Run(warm)
-	snap := sys.Meter.Snapshot()
-	srv.Run(opt.Duration)
-	wantMean := srv.Latencies().Mean()
-	wantP99 := srv.Latencies().Quantile(0.99)
-	wantServed := srv.Served()
-	wantSoC := snap.AveragePower(power.Package)
-	wantTotal := snap.AverageTotal()
-
-	sc := Scenario{Name: "parity", Config: "Cshallow",
-		Workload: Workload{Service: "memcached", QPS: qps}}
-	res, err := sc.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 {
-		t.Fatalf("points = %d, want 1", len(res.Points))
-	}
-	p := res.Points[0]
-	if p.MeanLatency != wantMean || p.P99Latency != wantP99 {
-		t.Errorf("latency mismatch: scenario (%v, %v) vs hand-wired (%v, %v)",
-			p.MeanLatency, p.P99Latency, wantMean, wantP99)
-	}
-	if p.Served != wantServed {
-		t.Errorf("served %d vs hand-wired %d", p.Served, wantServed)
-	}
-	if p.SoCWatts != wantSoC || p.TotalWatts != wantTotal {
-		t.Errorf("power mismatch: scenario (%v, %v) vs hand-wired (%v, %v)",
-			p.SoCWatts, p.TotalWatts, wantSoC, wantTotal)
-	}
-}
-
-// TestSysbenchScenarioMatchesHandWiredRun extends the bit-for-bit
-// contract to closed-loop points: a sysbench scenario runs its thread
-// population as the root source of a 1×1 graph, and must measure
-// exactly what a closed-loop server driven through server.Run does.
-func TestSysbenchScenarioMatchesHandWiredRun(t *testing.T) {
-	opt := quickOpt()
-	const threads, thinkMS = 16, 2.0
-
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
-	srv := server.NewClosedLoop(sys, server.DefaultConfig())
-	var cl *workload.ClosedLoopClient
-	cl = workload.SysbenchOLTP(sys.Engine, threads, thinkMS*1e-3, opt.Seed, func(r *workload.Request) {
-		srv.Submit(r, func() { cl.Release(r) })
-	})
-	cl.Start(0)
-	srv.Run(opt.Warmup())
-	snap := sys.Meter.Snapshot()
-	srv.Run(opt.Duration)
-
-	sc := Scenario{Name: "parity", Config: "CPC1A",
-		Workload: Workload{Service: "sysbench", Threads: threads, ThinkMS: thinkMS}}
-	res, err := sc.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Points[0]
-	if p.Workload != "sysbench-16thr" || p.OfferedQPS != 0 {
-		t.Errorf("workload %q at %g QPS, want sysbench-16thr with no offered rate", p.Workload, p.OfferedQPS)
-	}
-	if p.Served != srv.Served() || p.Generated != cl.Generated() || p.Dropped != 0 {
-		t.Errorf("served/generated/dropped %d/%d/%d vs hand-wired %d/%d/0",
-			p.Served, p.Generated, p.Dropped, srv.Served(), cl.Generated())
-	}
-	if p.MeanLatency != srv.Latencies().Mean() || p.P99Latency != srv.Latencies().Quantile(0.99) {
-		t.Errorf("latency mismatch: scenario (%v, %v) vs hand-wired (%v, %v)",
-			p.MeanLatency, p.P99Latency, srv.Latencies().Mean(), srv.Latencies().Quantile(0.99))
-	}
-	if p.TotalWatts != snap.AverageTotal() {
-		t.Errorf("power mismatch: scenario %v vs hand-wired %v", p.TotalWatts, snap.AverageTotal())
 	}
 }
 

@@ -4,6 +4,10 @@
 // application threads (one per core, as the paper's pinned Memcached
 // deployment does), and end-to-end latency measurement from the client's
 // perspective (client↔server network time included).
+//
+// A Server has no load generator or run loop of its own: requests reach
+// it through Submit, and callers assemble and drive a machine as a 1×1
+// cluster.Graph (cluster.NewMachine), whose Run is the one drain loop.
 package server
 
 import (
@@ -39,8 +43,6 @@ type Config struct {
 	// PC1A opportunity on real machines.
 	TimerTickHz    float64
 	TickKernelTime sim.Duration
-	// Seed makes the request stream deterministic.
-	Seed uint64
 }
 
 // DefaultConfig returns the evaluation defaults.
@@ -49,23 +51,19 @@ func DefaultConfig() Config {
 		NetworkLatency: 117 * sim.Microsecond,
 		NICTransfer:    300 * sim.Nanosecond,
 		KernelOverhead: 5 * sim.Microsecond,
-		Seed:           1,
 	}
 }
 
-// Server binds a workload to a system.
+// Server serves submitted requests on a system.
 type Server struct {
 	sys *soc.System
 	cfg Config
-	gen *workload.Generator
 
 	// Latencies in seconds, client-observed.
 	lat *stats.Histogram
 
-	served    uint64
-	inFlight  int
-	dropped   uint64
-	truncated uint64
+	served   uint64
+	inFlight int
 
 	batch      []func()
 	batchSpare []func()
@@ -140,33 +138,9 @@ func (s *Server) newInflight(req *workload.Request, done func()) *inflight {
 	return r
 }
 
-// New creates a server for the given system and workload.
-func New(sys *soc.System, cfg Config, spec workload.Spec) *Server {
-	s := &Server{
-		sys: sys,
-		cfg: cfg,
-		lat: stats.NewLatencyHistogram(),
-	}
-	s.gen = workload.NewGenerator(sys.Engine, spec, cfg.Seed, s.receive)
-	if cfg.TimerTickHz > 0 {
-		s.armTicks()
-	}
-	return s
-}
-
-// NewClosedLoop creates a server driven by a closed-loop client instead
-// of an open-loop generator. The caller builds the client around the
-// returned server's Submit method, handing each request back to the
-// client when its response leaves the NIC:
-//
-//	srv := server.NewClosedLoop(sys, cfg)
-//	var cl *workload.ClosedLoopClient
-//	cl = workload.SysbenchOLTP(sys.Engine, 16, 1e-3, 1, func(r *workload.Request) {
-//		srv.Submit(r, func() { cl.Release(r) })
-//	})
-//	cl.Start(0)
-//	srv.Run(...)
-func NewClosedLoop(sys *soc.System, cfg Config) *Server {
+// New creates a server on the given system; requests reach it through
+// Submit.
+func New(sys *soc.System, cfg Config) *Server {
 	s := &Server{
 		sys: sys,
 		cfg: cfg,
@@ -194,69 +168,6 @@ func (s *Server) armTicks() {
 	}
 }
 
-// DrainCap bounds how much extra virtual time Run spends draining
-// stragglers after the generator stops. It exists only to bound
-// pathological runs (a backlog that cannot clear); anything still in
-// flight when it trips is surfaced via Dropped instead of silently
-// abandoned. Exported because the cluster layer's fleet drain must use
-// the same bound for its 1-server-fleet ≡ single-server parity contract.
-const DrainCap = 10 * sim.Second
-
-// Run generates load for the given duration of virtual time and then
-// drains: the engine runs until every in-flight request completes, up to
-// DrainCap of extra virtual time. Requests still in flight when the cap
-// trips are counted in Dropped. On a closed-loop server (no generator)
-// Run only advances time — clients issue continuously, so "drained"
-// is meaningless until the caller stops them; call Run again after
-// ClosedLoopClient.Stop to flush the tail.
-func (s *Server) Run(d sim.Duration) {
-	eng := s.sys.Engine
-	stop := eng.Now() + d
-	if s.gen != nil {
-		s.gen.Start(stop)
-	}
-	eng.Run(stop)
-	if s.gen == nil {
-		return
-	}
-	// Drain stragglers: the generator is stopped, so inFlight can only
-	// fall.
-	deadline := eng.Now() + DrainCap
-	for s.inFlight > 0 && eng.Now() < deadline {
-		eng.Run(eng.Now() + sim.Millisecond)
-	}
-	// Snapshot, not accumulate: a request reported here may still
-	// complete during a later Run call, so summing across calls would
-	// double-count. At any instant served + dropped == generated.
-	s.dropped = uint64(s.inFlight)
-	// Distinguish "still draining at the cap" from "leaked forever":
-	// if the engine still holds pending events the stragglers are making
-	// progress and merely outlived the cap (truncated); an empty queue
-	// means nothing can ever complete them — a genuine leak. On a ticky
-	// server (TimerTickHz > 0) the tick chain keeps the queue non-empty
-	// forever, so the discriminator is optimistic there: a leak that
-	// coexists with an armed tick chain still reads as truncated.
-	if s.inFlight > 0 && eng.Pending() > 0 {
-		s.truncated = uint64(s.inFlight)
-	} else {
-		s.truncated = 0
-	}
-}
-
-// Dropped reports requests that were still in flight when the most
-// recent Run call gave up draining (the DrainCap tripped) — the requests
-// older code silently lost. A non-zero value means latency and
-// throughput figures exclude these requests. Always 0 on closed-loop
-// servers, which do not drain.
-func (s *Server) Dropped() uint64 { return s.dropped }
-
-// TruncatedDrain reports the subset of Dropped that was still actively
-// draining — the engine had pending events — when the most recent Run
-// call's DrainCap tripped. Dropped − TruncatedDrain is the count leaked
-// forever: requests no remaining event can ever complete. Always 0 when
-// the drain finished (or on closed-loop servers, which do not drain).
-func (s *Server) TruncatedDrain() uint64 { return s.truncated }
-
 // Latencies returns the client-observed latency histogram (seconds).
 func (s *Server) Latencies() *stats.Histogram { return s.lat }
 
@@ -268,26 +179,12 @@ func (s *Server) InFlight() int { return s.inFlight }
 // Served returns the number of completed requests.
 func (s *Server) Served() uint64 { return s.served }
 
-// Generated returns the number of requests emitted by the load
-// generator (0 for closed-loop servers, which count via the client).
-func (s *Server) Generated() uint64 {
-	if s.gen == nil {
-		return 0
-	}
-	return s.gen.Generated()
-}
-
 // System returns the underlying system.
 func (s *Server) System() *soc.System { return s.sys }
 
-// receive models the request's path through the machine.
-func (s *Server) receive(req *workload.Request) { s.submit(req, nil) }
-
-// Submit serves one request and calls done (if non-nil) when the
-// response leaves the NIC — the hook closed-loop clients use.
-func (s *Server) Submit(req *workload.Request, done func()) { s.submit(req, done) }
-
-func (s *Server) submit(req *workload.Request, done func()) {
+// Submit serves one request along its path through the machine and
+// calls done (if non-nil) when the response leaves the NIC.
+func (s *Server) Submit(req *workload.Request, done func()) {
 	s.inFlight++
 	r := s.newInflight(req, done)
 	nic := s.sys.NICLink()
