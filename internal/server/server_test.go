@@ -148,6 +148,44 @@ func TestHighLoadSaturation(t *testing.T) {
 	}
 }
 
+// A closed-loop sysbench population driving one machine: every request
+// comes from the client threads, every completion is served, and the
+// latency floor still includes the network component.
+func TestClosedLoopServer(t *testing.T) {
+	var cl *workload.ClosedLoopClient
+	g, err := cluster.NewGraph(cluster.GraphConfig{Tiers: []cluster.TierConfig{{
+		Cluster: cluster.Config{
+			Policy:  cluster.RoundRobin,
+			Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(soc.CPC1A), Server: server.DefaultConfig()}},
+			NewSource: func(eng *sim.Engine, _ workload.Spec, seed uint64, sink func(*workload.Request)) workload.Source {
+				cl = workload.SysbenchOLTP(eng, 16, 1e-3, seed, sink)
+				return cl
+			},
+		},
+		Spec: workload.Spec{Name: "sysbench-16thr"},
+	}}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, srv := g.Member(0, 0)
+	g.Run(100 * sim.Millisecond)
+	cl.Stop()
+	g.Run(10 * sim.Millisecond)
+
+	if srv.Served() == 0 || cl.Completed() == 0 {
+		t.Fatal("closed-loop server served nothing")
+	}
+	if srv.Served() < cl.Completed() {
+		t.Fatalf("served %d < completed %d", srv.Served(), cl.Completed())
+	}
+	if srv.Served() > cl.Generated() {
+		t.Fatalf("served %d > issued %d: requests from outside the client threads", srv.Served(), cl.Generated())
+	}
+	if srv.Latencies().Min() < 117e-6 {
+		t.Fatalf("min latency %v below network floor", srv.Latencies().Min())
+	}
+}
+
 // Timer ticks erode the PC1A opportunity: a tickful kernel must show
 // strictly less PC1A residency than a tickless one at the same load.
 func TestTimerTicksErodePC1A(t *testing.T) {
