@@ -18,6 +18,7 @@ package agilepkgc_test
 //	BenchmarkArea    — die-area budget
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
@@ -378,4 +379,42 @@ func BenchmarkFleetRoutingReplay(b *testing.B) {
 		g.Run(sim.Millisecond)
 	}
 	b.ReportMetric(float64(rp.Generated())/float64(b.N+1), "req/iter")
+}
+
+// BenchmarkReaderNext prices the trace decoder alone: each iteration
+// reads a recorded bursty stream of several read-ahead windows through
+// Next to the verified end of stream, then rewinds. The allocs/op gate
+// pins the read path, block refills and checksum folds at zero.
+func BenchmarkReaderNext(b *testing.B) {
+	b.ReportAllocs()
+	var buf replay.MemBuffer
+	if _, err := replay.Synthesize(&buf, workload.MemcachedBursty(300000, 8), 1, 0, 20*sim.Millisecond); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := buf.Seek(0, 0); err != nil {
+		b.Fatal(err)
+	}
+	rd, err := replay.NewReader(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pass := func() {
+		for {
+			if _, err := rd.Next(); err != nil {
+				if err != io.EOF {
+					b.Fatal(err)
+				}
+				break
+			}
+		}
+		if err := rd.Rewind(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pass() // a first pass outside the timer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(rd.Header().Count), "records/op")
 }

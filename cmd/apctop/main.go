@@ -89,16 +89,7 @@ func run(w io.Writer, args []string) error {
 	} else {
 		sys = soc.New(soc.DefaultConfig(kind))
 	}
-	mon := msr.NewMonitor(sys)
-
-	var readErr error
-	read := func(addr uint32, core int) uint64 {
-		v, err := mon.Read(addr, core)
-		if err != nil && readErr == nil {
-			readErr = err
-		}
-		return v
-	}
+	obs := &observer{sys: sys, mon: msr.NewMonitor(sys)}
 
 	fmt.Fprintf(w, "apctop: %s, %s, %.0f QPS, %d x %v intervals\n\n",
 		kind, sys.Cores[0].Governor(), *qps, *intervals, *interval)
@@ -107,48 +98,84 @@ func run(w io.Writer, args []string) error {
 	dt := sim.Duration((*interval).Nanoseconds())
 	var servedPrev uint64
 	for i := 0; i < *intervals; i++ {
-		pkg0 := read(msr.MSRPkgEnergyStatus, 0)
-		dram0 := read(msr.MSRDramEnergyStatus, 0)
-		var cc10 uint64
-		for c := range sys.Cores {
-			cc10 += read(msr.MSRCoreC1Residency, c)
-		}
-		pc1a0 := sim.Duration(0)
-		if sys.APMU != nil {
-			pc1a0 = sys.APMU.Residency(pmu.PC1A)
-		}
-
+		before := obs.sample()
 		if g != nil {
 			g.Run(dt)
 		} else {
 			sys.Engine.Run(sys.Engine.Now() + dt)
 		}
-
-		pkg1 := read(msr.MSRPkgEnergyStatus, 0)
-		dram1 := read(msr.MSRDramEnergyStatus, 0)
-		var cc11 uint64
-		for c := range sys.Cores {
-			cc11 += read(msr.MSRCoreC1Residency, c)
+		after := obs.sample()
+		if obs.err != nil {
+			return obs.err
 		}
-		if readErr != nil {
-			return readErr
-		}
-		wall := dt.Seconds()
-		pkgW := msr.EnergyDelta(pkg0, pkg1) / wall
-		dramW := msr.EnergyDelta(dram0, dram1) / wall
-		cc1Res := float64(cc11-cc10) / msr.TSCHz / wall / float64(len(sys.Cores))
-
-		pc1aRes := 0.0
-		if sys.APMU != nil {
-			pc1aRes = (sys.APMU.Residency(pmu.PC1A) - pc1a0).Seconds() / wall
-		}
+		r := obs.rates(before, after)
 		served := uint64(0)
 		if srv != nil {
 			served = srv.Served() - servedPrev
 			servedPrev = srv.Served()
 		}
 		fmt.Fprintf(w, "%-9d  %6.2f   %6.2f   %7.1f    %7.1f    %d\n",
-			i, pkgW, dramW, cc1Res*100, pc1aRes*100, served)
+			i, r.pkgW, r.dramW, r.cc1Res*100, r.pc1aRes*100, served)
 	}
 	return nil
+}
+
+// observer reads the counters apctop reports through the emulated MSR
+// monitor; the first read error sticks in err.
+type observer struct {
+	sys *soc.System
+	mon *msr.Monitor
+	err error
+}
+
+// sample is one reading of the counters, stamped with the engine time
+// it was taken at.
+type sample struct {
+	at        sim.Time
+	pkg, dram uint64 // RAPL energy-status counters
+	cc1       uint64 // CC1 residency counters summed over the cores
+	pc1a      sim.Duration
+}
+
+// readout is one interval's row: average watts and residency fractions.
+type readout struct {
+	pkgW, dramW     float64
+	cc1Res, pc1aRes float64
+}
+
+func (o *observer) read(addr uint32, core int) uint64 {
+	v, err := o.mon.Read(addr, core)
+	if err != nil && o.err == nil {
+		o.err = err
+	}
+	return v
+}
+
+func (o *observer) sample() sample {
+	s := sample{
+		at:   o.sys.Engine.Now(),
+		pkg:  o.read(msr.MSRPkgEnergyStatus, 0),
+		dram: o.read(msr.MSRDramEnergyStatus, 0),
+	}
+	for c := range o.sys.Cores {
+		s.cc1 += o.read(msr.MSRCoreC1Residency, c)
+	}
+	if o.sys.APMU != nil {
+		s.pc1a = o.sys.APMU.Residency(pmu.PC1A)
+	}
+	return s
+}
+
+// rates derives the readout between two samples. The divisor is the
+// engine time that elapsed between them, not the requested interval:
+// a loaded Graph.Run drains in-flight requests past its window, and
+// the counters keep counting through the drain.
+func (o *observer) rates(a, b sample) readout {
+	wall := (b.at - a.at).Seconds()
+	return readout{
+		pkgW:    msr.EnergyDelta(a.pkg, b.pkg) / wall,
+		dramW:   msr.EnergyDelta(a.dram, b.dram) / wall,
+		cc1Res:  float64(b.cc1-a.cc1) / msr.TSCHz / wall / float64(len(o.sys.Cores)),
+		pc1aRes: (b.pc1a - a.pc1a).Seconds() / wall,
+	}
 }

@@ -3,10 +3,19 @@ package main
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"agilepkgc/internal/cluster"
+	"agilepkgc/internal/msr"
+	"agilepkgc/internal/power"
+	"agilepkgc/internal/server"
+	"agilepkgc/internal/sim"
+	"agilepkgc/internal/soc"
+	"agilepkgc/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden readout file")
@@ -59,6 +68,54 @@ func TestReadoutGolden(t *testing.T) {
 		t.Logf("full divergent readout written to %s", gotPath)
 	}
 	t.Fatalf("readout differs from golden:\n got:\n%s\nwant:\n%s", got, want)
+}
+
+// TestIntervalDivisorIsElapsedTime pins the readout's divisor to the
+// engine time that elapsed over the interval. A loaded Graph.Run drains
+// in-flight requests past its window, so dividing by the requested
+// interval would overstate watts; the MSR-derived watts must instead
+// match the simulator's own meter averaged over the same span, to
+// within the RAPL energy unit.
+func TestIntervalDivisorIsElapsedTime(t *testing.T) {
+	g, err := cluster.NewMachine(soc.DefaultConfig(soc.CPC1A), server.DefaultConfig(), workload.Memcached(30000), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _ := g.Member(0, 0)
+	obs := &observer{sys: sys, mon: msr.NewMonitor(sys)}
+	const dt = 20 * sim.Millisecond
+	drained := 0
+	for i := 0; i < 5; i++ {
+		before, snap := obs.sample(), sys.Meter.Snapshot()
+		g.Run(dt)
+		after := obs.sample()
+		if obs.err != nil {
+			t.Fatal(obs.err)
+		}
+		if after.at-before.at > dt {
+			drained++
+		}
+		r := obs.rates(before, after)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"pkg", r.pkgW, snap.AveragePower(power.Package)},
+			{"dram", r.dramW, snap.AveragePower(power.DRAM)},
+		} {
+			tol := 2 * msr.EnergyUnitJoules / (after.at - before.at).Seconds()
+			if math.Abs(c.got-c.want) > tol {
+				t.Errorf("interval %d: %s %.4f W, meter over the elapsed %v reads %.4f W",
+					i, c.name, c.got, after.at-before.at, c.want)
+			}
+		}
+		if r.cc1Res > 1 || r.pc1aRes > 1 {
+			t.Errorf("interval %d: residency CC1 %.3f PC1A %.3f above 1", i, r.cc1Res, r.pc1aRes)
+		}
+	}
+	if drained == 0 {
+		t.Fatal("no interval drained past its window: the test no longer tells the divisors apart")
+	}
 }
 
 // TestSmokeOneInterval is the CI gate that keeps apctop from rotting

@@ -169,17 +169,17 @@ func (f *Fleet) maybeDrain() {
 // candidate per arrival, so the active set shrinks one member at a time
 // and always from the top — the mirror image of how the packer grows it.
 // Both the candidate and the headroom sum come from the segment tree
-// (tree.go), turning the per-arrival scan into two O(log n) queries.
+// (tree.go): the candidate is read off the root in O(1) and the
+// headroom below it is one O(log n) prefix walk.
 //
 //apcvet:noalloc
 func (f *Fleet) maybeDrainFrontier() {
-	i := f.tree.query(1, len(f.members)).maxEligIdx
+	i := f.tree.frontier()
 	if i < 0 {
 		return
 	}
 	m := f.members[i]
-	below := f.tree.query(0, i)
-	if below.eligCnt > 0 && below.headroom >= int64(m.load) {
+	if cnt, headroom := f.tree.prefixHeadroom(i); cnt > 0 && headroom >= int64(m.load) {
 		f.drainMember(m)
 	}
 }
@@ -201,8 +201,7 @@ func (f *Fleet) maybeDrainWholeRack() bool {
 		}
 		lo := r * f.topo.ServersPerRack
 		load := f.tree.query(lo, lo+len(rack)).loadSum
-		below := f.tree.query(0, lo)
-		if below.eligCnt > 0 && below.headroom >= load {
+		if cnt, headroom := f.tree.prefixHeadroom(lo); cnt > 0 && headroom >= load {
 			for _, m := range rack {
 				f.drainMember(m)
 			}

@@ -189,6 +189,39 @@ func (t *memberTree) query(lo, hi int) treeNode {
 	return combine(left, right)
 }
 
+// frontier returns the drain candidate: the highest eligible index
+// above 0, or -1 when no member above index 0 is eligible. It equals
+// query(1, n).maxEligIdx but reads only the root, because the highest
+// eligible index overall is in [1, n) exactly when it is at least 1.
+//
+//apcvet:noalloc
+func (t *memberTree) frontier() int {
+	if i := t.nodes[1].maxEligIdx; i >= 1 {
+		return i
+	}
+	return -1
+}
+
+// prefixHeadroom returns the eligible count and the cap headroom over
+// [0, hi), the two fields of query(0, hi) the drain decisions read.
+// The left siblings on the root path of leaf hi partition [0, hi), so
+// the walk sums one node per level and never combines whole nodes.
+//
+//apcvet:noalloc
+func (t *memberTree) prefixHeadroom(hi int) (eligCnt int, headroom int64) {
+	if hi >= t.base {
+		return t.nodes[1].eligCnt, t.nodes[1].headroom
+	}
+	for i := t.base + hi; i > 1; i >>= 1 {
+		if i&1 == 1 {
+			n := &t.nodes[i-1]
+			eligCnt += n.eligCnt
+			headroom += n.headroom
+		}
+	}
+	return eligCnt, headroom
+}
+
 // firstSpare returns the lowest index in [lo, hi) whose member is
 // eligible with load < cap, or -1 — the tree form of the power_aware
 // first-fit scan.

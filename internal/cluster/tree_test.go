@@ -70,6 +70,14 @@ func TestTreeMatchesScan(t *testing.T) {
 			if got, want := tr.root(), scanNode(members, 0, n); got != want {
 				t.Fatalf("n=%d step=%d root = %+v, scan = %+v", n, step, got, want)
 			}
+			below := scanNode(members, 0, lo)
+			if cnt, headroom := tr.prefixHeadroom(lo); cnt != below.eligCnt || headroom != below.headroom {
+				t.Fatalf("n=%d step=%d prefixHeadroom(%d) = (%d, %d), scan = (%d, %d)",
+					n, step, lo, cnt, headroom, below.eligCnt, below.headroom)
+			}
+			if got, want := tr.frontier(), tr.query(1, n).maxEligIdx; got != want {
+				t.Fatalf("n=%d step=%d frontier = %d, query(1,%d).maxEligIdx = %d", n, step, got, n, want)
+			}
 			spare := func(nd treeNode) bool { return nd.hasSpare }
 			actSpare := func(nd treeNode) bool { return nd.hasActSpare }
 			if got, want := tr.firstSpare(lo, hi), scanFirst(members, lo, hi, spare); got != want {

@@ -58,32 +58,77 @@ func TestSummaryAddN(t *testing.T) {
 	}
 }
 
-func TestSummaryMerge(t *testing.T) {
-	f := func(xs, ys []float64) bool {
-		var all, a, b Summary
-		for _, x := range xs {
-			x = math.Mod(x, 1000)
-			all.Add(x)
-			a.Add(x)
-		}
-		for _, y := range ys {
-			y = math.Mod(y, 1000)
-			all.Add(y)
-			b.Add(y)
-		}
-		a.Merge(&b)
-		if a.Count() != all.Count() {
-			return false
-		}
-		if all.Count() == 0 {
-			return true
-		}
-		return almost(a.Mean(), all.Mean(), 1e-9) &&
-			almost(a.Var(), all.Var(), 1e-6) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
+// closeEnough compares a and b with an absolute floor of tol·scale
+// before the relative test: scale is the magnitude of the inputs the
+// two values were computed from, so a result that rounding pulls to
+// (or through) zero still passes. A mean near zero of terms near ±1000
+// carries rounding error around 1e-13, which a pure relative tolerance
+// reads as total disagreement.
+func closeEnough(a, b, tol, scale float64) bool {
+	diff := math.Abs(a - b)
+	if diff <= tol*scale {
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	return diff <= tol*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// mergeMatches reports whether merging a summary of xs with one of ys
+// agrees with a single summary over both: the same count, min and max,
+// and mean and variance equal up to rounding. Inputs are folded into
+// (-1000, 1000) first.
+func mergeMatches(xs, ys []float64) bool {
+	var all, a, b Summary
+	scale := 0.0
+	for _, x := range xs {
+		x = math.Mod(x, 1000)
+		all.Add(x)
+		a.Add(x)
+		scale = math.Max(scale, math.Abs(x))
+	}
+	for _, y := range ys {
+		y = math.Mod(y, 1000)
+		all.Add(y)
+		b.Add(y)
+		scale = math.Max(scale, math.Abs(y))
+	}
+	a.Merge(&b)
+	if a.Count() != all.Count() {
+		return false
+	}
+	if all.Count() == 0 {
+		return true
+	}
+	return closeEnough(a.Mean(), all.Mean(), 1e-9, scale) &&
+		closeEnough(a.Var(), all.Var(), 1e-6, scale*scale) &&
+		a.Min() == all.Min() && a.Max() == all.Max()
+}
+
+func TestSummaryMerge(t *testing.T) {
+	if err := quick.Check(mergeMatches, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSummaryMergeNearZeroMean is an input quick.Check generated that
+// failed the former purely relative comparison: the merged mean is 0
+// and the one-pass mean 5.3e-15, both rounding of a zero-mean sum.
+func TestSummaryMergeNearZeroMean(t *testing.T) {
+	xs := []float64{6.116928843631854e+307, 1.6379218024059113e+308, 3.7186741863486844e+307, -1.0537562252676966e+308,
+		9.614018575331182e+307, 8.448582050894403e+307, -1.3476586065924055e+308, 6.041557219742236e+307,
+		1.0246921696684319e+308, -2.5532909595602097e+307, -4.443077355504279e+307, 1.0840493116560913e+308,
+		-8.083299732253018e+307, 5.203427296408885e+307, 1.2852698149699966e+308, -1.3657899675651652e+308,
+		-1.3440744937028883e+308, -1.7755642795910548e+308, -3.2596929053617873e+307, -1.7443181486824685e+308,
+		-1.1265375973684613e+308, -1.6822734020851906e+308, -4.350026543990672e+307, 5.45093758337299e+307,
+		1.122020870033893e+308, -1.352508969835395e+308, -1.1428856578966142e+308, 1.3646671536379375e+308,
+		-2.5327650681934516e+307, 6.124687509950283e+305, -7.099891991404722e+307, 8.279304836761994e+307,
+		-4.343858983327166e+307, -1.2012497369455945e+308, 1.3596576198461617e+308, 1.193982455469867e+308,
+		1.3791327103787515e+308, 9.649605820033844e+307, 1.3706029825885986e+308, 4.712669807690243e+307,
+		-1.1579791161244079e+308, 6.029842832699248e+306, -1.4587998881072006e+308, -1.613681748447483e+307,
+		-1.061007980144498e+307}
+	ys := []float64{-7.212120307966396e+307, 1.0298168116198216e+308, -1.6756997751905836e+308, -7.871423310222433e+307,
+		-8.134432348715194e+307, 1.3556055376045863e+308, 1.1940053724067364e+308}
+	if !mergeMatches(xs, ys) {
+		t.Error("merge of a near-zero-mean split disagrees with the one-pass summary")
 	}
 }
 

@@ -46,6 +46,7 @@ type Tracer struct {
 	// model).
 	activeAfter stats.Summary
 	wakeProbe   sim.Duration
+	probeFn     func() // t.probe, bound once so a wake schedules no closure
 }
 
 // New attaches a tracer to the cores. Call it before driving load so
@@ -61,6 +62,7 @@ func New(eng *sim.Engine, cores []*cpu.Core) *Tracer {
 		idlePeriods: stats.NewDurationHistogram(),
 		wakeProbe:   2 * sim.Microsecond,
 	}
+	t.probeFn = t.probe
 	for i, c := range cores {
 		i := i
 		t.coreState[i] = c.State()
@@ -120,19 +122,22 @@ func (t *Tracer) endAllIdle(now sim.Time) {
 		t.censoredIdle += d
 		t.censoredCount++
 	}
-	// Probe how many cores are active shortly after the wake.
-	t.eng.Schedule(t.wakeProbe, func() {
-		active := 0
-		for _, c := range t.cores {
-			if !c.InCC1().Level() {
-				active++
-			}
+	t.eng.Schedule(t.wakeProbe, t.probeFn)
+}
+
+// probe counts how many cores are active shortly after a full-idle
+// period ends.
+func (t *Tracer) probe() {
+	active := 0
+	for _, c := range t.cores {
+		if !c.InCC1().Level() {
+			active++
 		}
-		if active == 0 {
-			active = 1 // the waking core already went back to sleep
-		}
-		t.activeAfter.Add(float64(active))
-	})
+	}
+	if active == 0 {
+		active = 1 // the waking core already went back to sleep
+	}
+	t.activeAfter.Add(float64(active))
 }
 
 // Finalize closes open accounting intervals at the current time. Call it

@@ -300,3 +300,112 @@ func TestHeaderSpecPanics(t *testing.T) {
 	expectPanic("Arrivals.NextGap", func() { spec.Arrivals.NextGap(nil) })
 	expectPanic("Service.Sample", func() { spec.Service.Sample(nil) })
 }
+
+// blockTraceRecords is long enough to span three read-ahead windows:
+// one window holds windowRecords = 2730 whole records, so
+// record 2730 opens the second window and the third is partial.
+const blockTraceRecords = 6000
+
+// blockRecords returns blockTraceRecords ordered records with every
+// field varying, so a flipped byte anywhere changes the checksum.
+func blockRecords() []Record {
+	recs := make([]Record, blockTraceRecords)
+	for i := range recs {
+		recs[i] = Record{
+			TS:      sim.Time(i/3) * sim.Microsecond,
+			Service: sim.Duration(5+i%17) * sim.Microsecond,
+			Conn:    uint32(i % testMeta.Connections),
+			Mem:     uint32(i % 5),
+		}
+	}
+	return recs
+}
+
+// TestDecodeRejectsCorruptionAcrossBlocks pins the located errors of a
+// trace longer than one read-ahead window: a fault at the first record
+// of the second window, a checksum fault confined to the second window,
+// and truncation at and inside a window's records must report exactly
+// the text a record-at-a-time reader reports.
+func TestDecodeRejectsCorruptionAcrossBlocks(t *testing.T) {
+	data, hdr := buildTrace(t, testMeta, blockRecords())
+	recOff := func(i int) int { return headerSize + len(testMeta.Name) + i*RecordSize }
+	const second = windowRecords // first record of the second window
+
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"second window first record out of order", patchU64(data, recOff(second), 0),
+			"trace: record 2730 (byte 65602): timestamp 0 before predecessor 909000 — records must be ordered"},
+		{"second window first record connection", corrupt(data, recOff(second)+16, 0x80),
+			"trace: record 2730 (byte 65618): connection 130 outside the header's 8"},
+		{"second window first record negative service", patchU64(data, recOff(second)+8, 1<<63),
+			"trace: record 2730 (byte 65610): service time does not fit a signed duration"},
+		{"checksum fault in the second window", corrupt(data, recOff(second+100)+20, 0x01),
+			"trace: record 5999 (byte 144082): checksum 0x8730e782d16fec59 != header 0x696541b22f7089fe — corrupt records"},
+		{"truncated at the window boundary", data[:recOff(second)],
+			"trace: record 2730 (byte 65602): truncated record (2730 of 6000 declared): EOF"},
+		{"truncated inside the boundary record", data[:recOff(second)+10],
+			"trace: record 2730 (byte 65602): truncated record (2730 of 6000 declared): EOF"},
+		{"truncated inside a second-window record", data[:recOff(second+271)+23],
+			"trace: record 3001 (byte 72106): truncated record (3001 of 6000 declared): EOF"},
+		{"truncated at the last record", data[:recOff(int(hdr.Count)-1)],
+			"trace: record 5999 (byte 144058): truncated record (5999 of 6000 declared): EOF"},
+		{"trailing byte after the last window", append(append([]byte(nil), data...), 0xAA),
+			"trace: record 6000 (byte 144082): trailing bytes after the declared 6000 records"},
+		{"count underdeclared by a window", patchU64(data, 16, hdr.Count-second),
+			"trace: record 3269 (byte 78562): last timestamp 1089000 != header last 1999000"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, err := Decode(c.data)
+			if err == nil {
+				t.Fatal("Decode accepted the corruption")
+			}
+			var fe *FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("error %v is not a *FormatError", err)
+			}
+			if got := err.Error(); got != c.want {
+				t.Errorf("error\n got %q\nwant %q", got, c.want)
+			}
+		})
+	}
+}
+
+// TestReaderRewindMidBlock rewinds halfway through the first window and
+// checks the rewound reader reads the whole multi-window trace exactly
+// as a fresh reader does, checksum and end-of-stream checks included.
+func TestReaderRewindMidBlock(t *testing.T) {
+	recs := blockRecords()
+	data, _ := buildTrace(t, testMeta, recs)
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := windowRecords / 2
+	for i := 0; i < half; i++ {
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("Next %d: %v", i, err)
+		}
+	}
+	if err := r.Rewind(); err != nil {
+		t.Fatalf("Rewind: %v", err)
+	}
+	for i := range recs {
+		got, err := r.Next()
+		if err != nil {
+			t.Fatalf("Next %d after Rewind: %v", i, err)
+		}
+		if got != recs[i] {
+			t.Fatalf("record %d after Rewind = %+v, want %+v", i, got, recs[i])
+		}
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("end of rewound stream = %v, want io.EOF", err)
+	}
+	if r.Read() != uint64(len(recs)) {
+		t.Fatalf("Read() = %d, want %d", r.Read(), len(recs))
+	}
+}
